@@ -26,10 +26,8 @@ func diffMain(args []string, out io.Writer) int {
 	fs.SetOutput(os.Stderr)
 	tolerance := fs.Float64("tolerance", 0,
 		"maximum tolerated relative drift per metric (0 = exact match)")
-	perfTolerance := fs.Float64("perf-tolerance", -1,
-		"maximum tolerated relative drift for host-dependent perf fields (wall_ns, records_per_sec); negative = skip them")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: itsbench diff [-tolerance frac] [-perf-tolerance frac] old.json new.json")
+		fmt.Fprintln(os.Stderr, "usage: itsbench diff [-tolerance frac] old.json new.json")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -58,10 +56,9 @@ func diffMain(args []string, out io.Writer) int {
 		return 3
 	}
 	drifts := diffDocs(oldDoc, newDoc, *tolerance)
-	drifts = append(drifts, diffPerf(oldDoc, newDoc, *tolerance, *perfTolerance)...)
 	if len(drifts) == 0 {
-		fmt.Fprintf(out, "itsbench diff: no drift (%d figures, %d runs, %d fleet sweeps, %d perf points compared)\n",
-			len(oldDoc.Figures), len(oldDoc.Runs), len(oldDoc.Fleet), len(oldDoc.Perf))
+		fmt.Fprintf(out, "itsbench diff: no drift (%d figures, %d runs, %d fleet sweeps compared)\n",
+			len(oldDoc.Figures), len(oldDoc.Runs), len(oldDoc.Fleet))
 		return 0
 	}
 	for _, d := range drifts {

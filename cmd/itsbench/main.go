@@ -23,17 +23,12 @@
 //	itsbench -exp all -format json
 //	itsbench -exp fig4a -trace-out trace.json -trace-format chrome
 //	itsbench diff before.json after.json
-//	itsbench perf -o BENCH_1.json
 //
 // The diff subcommand compares two -format json documents and exits
 // non-zero when any figure value or run-summary metric drifted beyond
 // -tolerance (default: exact match) — the regression check for simulator
-// changes that must not move the numbers.
-//
-// The perf subcommand snapshots the simulator's own throughput trajectory
-// (deterministic virtual-time outcomes plus host wall-clock rates) as a
-// JSON document; `itsbench diff -perf-tolerance` compares snapshots, with
-// host-dependent fields skipped by default.
+// changes that must not move the numbers. The simulator's own speed is
+// measured by the benchmark under bench/ (see bench/README.md).
 //
 // With -trace-out every simulated run streams its event trace into one file
 // (runs become separate trace processes); see docs/OBSERVABILITY.md.
@@ -44,36 +39,25 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"itsim/internal/chaos"
 	"itsim/internal/core"
-	"itsim/internal/fault"
 	"itsim/internal/kernel"
 	"itsim/internal/metrics"
-	"itsim/internal/obs"
 	"itsim/internal/policy"
 	"itsim/internal/report"
 	"itsim/internal/sched"
-	"itsim/internal/sim"
 	"itsim/internal/storage"
 	"itsim/internal/workload"
 )
 
 // params carries the parsed command line.
 type params struct {
-	exp              string
-	scale            float64
-	cores            int
-	format           string
-	traceOut         string
-	traceFormat      string
-	traceFilter      string
-	gaugeEvery       time.Duration
-	faults           string
-	chaos            string
-	spinBudget       time.Duration
-	prefetchThrottle float64
+	exp    string
+	scale  float64
+	format string
+	chaos  string
+	core.RunFlags
 }
 
 func main() {
@@ -82,23 +66,12 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "diff" {
 		os.Exit(diffMain(os.Args[2:], os.Stdout))
 	}
-	// `itsbench perf` snapshots simulator throughput (BENCH_<n>.json).
-	if len(os.Args) > 1 && os.Args[1] == "perf" {
-		os.Exit(perfMain(os.Args[2:], os.Stdout))
-	}
 	var p params
 	flag.StringVar(&p.exp, "exp", "all", "experiment: obs|fig4a|fig4b|fig4c|fig5a|fig5b|setup|xover|spin|sens|fleet|all")
 	flag.Float64Var(&p.scale, "scale", 0.25, "workload scale factor")
-	flag.IntVar(&p.cores, "cores", 0, "simulated core count (0/1 = single-core; >1 = SMP with work stealing)")
 	flag.StringVar(&p.format, "format", "text", "output format: text|csv|chart|json")
-	flag.StringVar(&p.traceOut, "trace-out", "", "write the simulation event trace of every run to this file (empty = off)")
-	flag.StringVar(&p.traceFormat, "trace-format", "chrome", "trace format: chrome|jsonl")
-	flag.StringVar(&p.traceFilter, "trace-filter", "", "comma-separated event types and pid=N entries (empty = all)")
-	flag.DurationVar(&p.gaugeEvery, "gauge-interval", 0, "virtual-time gauge sampling interval, e.g. 100us (0 = off)")
-	flag.StringVar(&p.faults, "faults", "", "device fault-injection spec, e.g. 'seed=42,tailp=0.01,tailx=8,stallp=0.001,dmap=0.005' (empty = off)")
 	flag.StringVar(&p.chaos, "chaos", "", "machine-level chaos spec for -exp fleet, e.g. 'seed=1,crashr=20,brownr=40' (empty = off)")
-	flag.DurationVar(&p.spinBudget, "spin-budget", 0, "demote synchronous waits predicted to exceed this budget to async switches (0 = off)")
-	flag.Float64Var(&p.prefetchThrottle, "prefetch-throttle", 0, "ITS skips prefetch walks when this fraction of storage channels is busy, e.g. 0.75 (0 = off)")
+	p.RunFlags.Bind(flag.CommandLine)
 	flag.Parse()
 	if err := run(p); err != nil {
 		fmt.Fprintln(os.Stderr, "itsbench:", err)
@@ -140,9 +113,6 @@ type jsonDoc struct {
 	Crossover   []core.CrossoverPoint    `json:"crossover,omitempty"`
 	Spin        []core.SpinPoint         `json:"spin,omitempty"`
 	Sensitivity []core.SensitivityResult `json:"sensitivity,omitempty"`
-	// Perf is the `itsbench perf` simulator-throughput trajectory
-	// (BENCH_<n>.json snapshots; see perf.go).
-	Perf []PerfPoint `json:"perf,omitempty"`
 	// Fleet holds the `-exp fleet` serving-sweep summaries, one per
 	// routing × policy cell (see fleet.go).
 	Fleet []metrics.FleetSummary `json:"fleet,omitempty"`
@@ -156,34 +126,6 @@ func run(p params) error {
 	default:
 		return fmt.Errorf("unknown format %q (want text, csv, chart or json)", p.format)
 	}
-	trc, err := obs.TracerFromFlags(p.traceOut, p.traceFormat, p.traceFilter)
-	if err != nil {
-		return err
-	}
-	faultCfg, err := fault.ParseSpec(p.faults)
-	if err != nil {
-		return err
-	}
-	chaosCfg, err := chaos.ParseSpec(p.chaos)
-	if err != nil {
-		return err
-	}
-	if p.spinBudget < 0 {
-		return fmt.Errorf("negative spin budget %v", p.spinBudget)
-	}
-	if p.prefetchThrottle < 0 || p.prefetchThrottle > 1 {
-		return fmt.Errorf("prefetch-throttle %v outside [0,1]", p.prefetchThrottle)
-	}
-	opts := core.Options{
-		Scale:         p.scale,
-		Cores:         p.cores,
-		Tracer:        trc,
-		GaugeInterval: sim.Time(p.gaugeEvery.Nanoseconds()),
-		Fault:         faultCfg,
-		Chaos:         chaosCfg,
-		SpinBudget:    sim.Time(p.spinBudget.Nanoseconds()),
-		ITS:           policy.ITSConfig{PrefetchThrottleFraction: p.prefetchThrottle},
-	}
 	needGrid := false
 	switch p.exp {
 	case "obs", "setup", "xover", "spin", "sens", "fleet":
@@ -192,6 +134,16 @@ func run(p params) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", p.exp)
 	}
+	chaosCfg, err := chaos.ParseSpec(p.chaos)
+	if err != nil {
+		return err
+	}
+	opts, err := p.RunFlags.Options()
+	if err != nil {
+		return err
+	}
+	opts.Scale = p.scale
+	opts.Chaos = chaosCfg
 
 	var doc *jsonDoc
 	if p.format == "json" {
@@ -199,7 +151,7 @@ func run(p params) error {
 	}
 
 	err = runExperiments(p.exp, needGrid, opts, p.format, doc)
-	if cerr := trc.Close(); cerr != nil && err == nil {
+	if cerr := opts.Tracer.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("finalizing trace: %w", cerr)
 	}
 	if err != nil {

@@ -6,12 +6,14 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"itsim/internal/core"
 )
 
 // tiny returns the params for a minimal-scale harness run of exp, with
 // overrides applied by the caller.
 func tiny(exp string) params {
-	return params{exp: exp, scale: 0.01, format: "text", traceFormat: "chrome"}
+	return params{exp: exp, scale: 0.01, format: "text", RunFlags: core.RunFlags{TraceFormat: "chrome"}}
 }
 
 // The harness is exercised end-to-end at a tiny scale: every experiment and
@@ -46,7 +48,7 @@ func TestRunMultiCore(t *testing.T) {
 		t.Skip("harness run in -short mode")
 	}
 	p := tiny("fig4a")
-	p.cores = 2
+	p.Cores = 2
 	if err := run(p); err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +61,9 @@ func TestRunWithFaults(t *testing.T) {
 		t.Skip("harness run in -short mode")
 	}
 	p := tiny("fig4a")
-	p.faults = "seed=7,tailp=0.05,tailx=8,stallp=0.01,dmap=0.02"
-	p.spinBudget = 3 * time.Microsecond
-	p.prefetchThrottle = 0.5
+	p.Faults = "seed=7,tailp=0.05,tailx=8,stallp=0.01,dmap=0.02"
+	p.SpinBudget = 3 * time.Microsecond
+	p.PrefetchThrottle = 0.5
 	if err := run(p); err != nil {
 		t.Fatal(err)
 	}
@@ -77,22 +79,22 @@ func TestRunRejectsUnknown(t *testing.T) {
 		t.Fatal("unknown format accepted")
 	}
 	p = tiny("fig4a")
-	p.traceOut, p.traceFormat = "x.json", "nope"
+	p.TraceOut, p.TraceFormat = "x.json", "nope"
 	if err := run(p); err == nil {
 		t.Fatal("unknown trace format accepted")
 	}
 	p = tiny("fig4a")
-	p.faults = "tailp=nope"
+	p.Faults = "tailp=nope"
 	if err := run(p); err == nil {
 		t.Fatal("bad fault spec accepted")
 	}
 	p = tiny("fig4a")
-	p.spinBudget = -time.Microsecond
+	p.SpinBudget = -time.Microsecond
 	if err := run(p); err == nil {
 		t.Fatal("negative spin budget accepted")
 	}
 	p = tiny("fig4a")
-	p.prefetchThrottle = 1.5
+	p.PrefetchThrottle = 1.5
 	if err := run(p); err == nil {
 		t.Fatal("out-of-range prefetch throttle accepted")
 	}
@@ -105,12 +107,12 @@ func TestRunWithTrace(t *testing.T) {
 		t.Skip("harness run in -short mode")
 	}
 	p := tiny("fig4a")
-	p.traceOut = filepath.Join(t.TempDir(), "trace.json")
-	p.gaugeEvery = 50 * time.Microsecond
+	p.TraceOut = filepath.Join(t.TempDir(), "trace.json")
+	p.GaugeInterval = 50 * time.Microsecond
 	if err := run(p); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(p.traceOut)
+	data, err := os.ReadFile(p.TraceOut)
 	if err != nil {
 		t.Fatal(err)
 	}

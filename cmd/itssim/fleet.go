@@ -7,13 +7,11 @@ import (
 	"io"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"itsim/internal/chaos"
 	"itsim/internal/cluster"
-	"itsim/internal/fault"
+	"itsim/internal/core"
 	"itsim/internal/metrics"
-	"itsim/internal/obs"
 	"itsim/internal/policy"
 	"itsim/internal/sim"
 )
@@ -52,26 +50,20 @@ func fleetMain(args []string, out io.Writer) int {
 		fs.PrintDefaults()
 	}
 	var (
-		machines         = fs.Int("machines", 3, "number of simulated machines in the fleet")
-		slots            = fs.Int("slots", 0, "max requests batched into one machine epoch (0 = default)")
-		tenants          = fs.String("tenants", "bench=caffe,req=8,prio=3,slo=50ms;bench=pagerank,req=8,prio=1", "tenant spec (see above)")
-		routing          = fs.String("routing", cluster.RoundRobin, "routing policy: "+strings.Join(cluster.RouterNames(), "|"))
-		policyName       = fs.String("policy", "ITS", "I/O-mode policy every machine runs")
-		seed             = fs.Uint64("seed", 0, "fleet seed perturbing every tenant's trace and arrival streams (0 = pinned defaults)")
-		scale            = fs.Float64("scale", 1.0, "multiplier on every tenant's per-request workload scale")
-		cores            = fs.Int("cores", 0, "per-machine core count (0/1 = single-core; >1 = SMP)")
-		format           = fs.String("format", "text", "summary format: text|json")
-		verbose          = fs.Bool("v", false, "per-epoch detail")
-		traceOut         = fs.String("trace-out", "", "write the fleet event trace to this file (empty = off)")
-		traceFormat      = fs.String("trace-format", "chrome", "trace format: chrome|jsonl")
-		traceFilter      = fs.String("trace-filter", "", "comma-separated event types and pid=N entries (empty = all)")
-		gaugeEvery       = fs.Duration("gauge-interval", 0, "virtual-time gauge sampling interval inside epochs (0 = off)")
-		faults           = fs.String("faults", "", "device fault-injection spec applied to every machine (seed mixed per machine)")
-		chaosSpec        = fs.String("chaos", "", "machine-level chaos spec: crashes, brownouts, flapping (see above)")
-		shedDepth        = fs.Int("shed", 0, "fleet queue-depth threshold above which non-top-priority arrivals are shed (0 = off)")
-		spinBudget       = fs.Duration("spin-budget", 0, "demote synchronous waits predicted to exceed this budget (0 = off)")
-		prefetchThrottle = fs.Float64("prefetch-throttle", 0, "ITS prefetch admission threshold on busy channels (0 = off)")
+		machines   = fs.Int("machines", 3, "number of simulated machines in the fleet")
+		slots      = fs.Int("slots", 0, "max requests batched into one machine epoch (0 = default)")
+		tenants    = fs.String("tenants", "bench=caffe,req=8,prio=3,slo=50ms;bench=pagerank,req=8,prio=1", "tenant spec (see above)")
+		routing    = fs.String("routing", cluster.RoundRobin, "routing policy: "+strings.Join(cluster.RouterNames(), "|"))
+		policyName = fs.String("policy", "ITS", "I/O-mode policy every machine runs")
+		seed       = fs.Uint64("seed", 0, "fleet seed perturbing every tenant's trace and arrival streams (0 = pinned defaults)")
+		scale      = fs.Float64("scale", 1.0, "multiplier on every tenant's per-request workload scale")
+		format     = fs.String("format", "text", "summary format: text|json")
+		verbose    = fs.Bool("v", false, "per-epoch detail")
+		chaosSpec  = fs.String("chaos", "", "machine-level chaos spec: crashes, brownouts, flapping (see above)")
+		shedDepth  = fs.Int("shed", 0, "fleet queue-depth threshold above which non-top-priority arrivals are shed (0 = off)")
+		runFlags   core.RunFlags
 	)
+	runFlags.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -81,11 +73,9 @@ func fleetMain(args []string, out io.Writer) int {
 	}
 	if err := runFleet(out, fleetParams{
 		machines: *machines, slots: *slots, tenants: *tenants, routing: *routing,
-		policy: *policyName, seed: *seed, scale: *scale, cores: *cores,
-		format: *format, verbose: *verbose,
-		traceOut: *traceOut, traceFormat: *traceFormat, traceFilter: *traceFilter,
-		gaugeEvery: *gaugeEvery, faults: *faults, chaos: *chaosSpec, shed: *shedDepth,
-		spinBudget: *spinBudget, prefetchThrottle: *prefetchThrottle,
+		policy: *policyName, seed: *seed, scale: *scale,
+		format: *format, verbose: *verbose, chaos: *chaosSpec, shed: *shedDepth,
+		RunFlags: runFlags,
 	}); err != nil {
 		fmt.Fprintln(out, "itssim fleet:", err)
 		return 1
@@ -99,18 +89,11 @@ type fleetParams struct {
 	policy           string
 	seed             uint64
 	scale            float64
-	cores            int
 	format           string
 	verbose          bool
-	traceOut         string
-	traceFormat      string
-	traceFilter      string
-	gaugeEvery       time.Duration
-	faults           string
 	chaos            string
 	shed             int
-	spinBudget       time.Duration
-	prefetchThrottle float64
+	core.RunFlags
 }
 
 func runFleet(out io.Writer, p fleetParams) error {
@@ -125,10 +108,6 @@ func runFleet(out io.Writer, p fleetParams) error {
 	if err != nil {
 		return err
 	}
-	faultCfg, err := fault.ParseSpec(p.faults)
-	if err != nil {
-		return err
-	}
 	chaosCfg, err := chaos.ParseSpec(p.chaos)
 	if err != nil {
 		return err
@@ -136,35 +115,28 @@ func runFleet(out io.Writer, p fleetParams) error {
 	if p.shed < 0 {
 		return fmt.Errorf("negative shed depth %d", p.shed)
 	}
-	if p.spinBudget < 0 {
-		return fmt.Errorf("negative spin budget %v", p.spinBudget)
-	}
-	if p.prefetchThrottle < 0 || p.prefetchThrottle > 1 {
-		return fmt.Errorf("prefetch-throttle %v outside [0,1]", p.prefetchThrottle)
-	}
-	trc, err := obs.TracerFromFlags(p.traceOut, p.traceFormat, p.traceFilter)
+	opts, err := p.RunFlags.Options()
 	if err != nil {
 		return err
 	}
-	cfg := cluster.Config{
+	res, err := cluster.Run(cluster.Config{
 		Machines:      p.machines,
 		Slots:         p.slots,
 		Policy:        kind,
-		ITS:           policy.ITSConfig{PrefetchThrottleFraction: p.prefetchThrottle},
+		ITS:           opts.ITS,
 		Routing:       p.routing,
 		Tenants:       specs,
 		Scale:         p.scale,
 		Seed:          p.seed,
-		Cores:         p.cores,
-		Fault:         faultCfg,
+		Cores:         opts.Cores,
+		Fault:         opts.Fault,
 		Chaos:         chaosCfg,
 		ShedDepth:     p.shed,
-		SpinBudget:    sim.Time(p.spinBudget.Nanoseconds()),
-		Tracer:        trc,
-		GaugeInterval: sim.Time(p.gaugeEvery.Nanoseconds()),
-	}
-	res, err := cluster.Run(cfg)
-	if cerr := trc.Close(); cerr != nil && err == nil {
+		SpinBudget:    opts.SpinBudget,
+		Tracer:        opts.Tracer,
+		GaugeInterval: opts.GaugeInterval,
+	})
+	if cerr := opts.Tracer.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("finalizing trace: %w", cerr)
 	}
 	if err != nil {

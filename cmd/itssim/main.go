@@ -28,14 +28,10 @@ import (
 	"fmt"
 	"os"
 	"text/tabwriter"
-	"time"
 
 	"itsim/internal/core"
-	"itsim/internal/fault"
 	"itsim/internal/machine"
-	"itsim/internal/obs"
 	"itsim/internal/policy"
-	"itsim/internal/sim"
 	"itsim/internal/workload"
 )
 
@@ -50,19 +46,12 @@ func coreMachineConfig(scale, dramRatio float64) machine.Config {
 
 // params carries the parsed command line.
 type params struct {
-	batch, policy    string
-	scale            float64
-	dramRatio        float64
-	cores            int
-	verbose          bool
-	format           string
-	traceOut         string
-	traceFormat      string
-	traceFilter      string
-	gaugeEvery       time.Duration
-	faults           string
-	spinBudget       time.Duration
-	prefetchThrottle float64
+	batch, policy string
+	scale         float64
+	dramRatio     float64
+	verbose       bool
+	format        string
+	core.RunFlags
 }
 
 func main() {
@@ -77,16 +66,9 @@ func main() {
 	flag.StringVar(&p.policy, "policy", "ITS", "I/O-mode policy")
 	flag.Float64Var(&p.scale, "scale", 0.25, "workload scale factor (1.0 = full size)")
 	flag.Float64Var(&p.dramRatio, "dram", 0, "override DRAM/footprint ratio (0 = default)")
-	flag.IntVar(&p.cores, "cores", 0, "simulated core count (0/1 = single-core; >1 = SMP with work stealing)")
 	flag.BoolVar(&p.verbose, "v", false, "per-process detail")
 	flag.StringVar(&p.format, "format", "text", "run summary format: text|json")
-	flag.StringVar(&p.traceOut, "trace-out", "", "write the simulation event trace to this file (empty = off)")
-	flag.StringVar(&p.traceFormat, "trace-format", "chrome", "trace format: chrome|jsonl")
-	flag.StringVar(&p.traceFilter, "trace-filter", "", "comma-separated event types and pid=N entries (empty = all)")
-	flag.DurationVar(&p.gaugeEvery, "gauge-interval", 0, "virtual-time gauge sampling interval, e.g. 100us (0 = off)")
-	flag.StringVar(&p.faults, "faults", "", "device fault-injection spec, e.g. 'seed=42,tailp=0.01,tailx=8,stallp=0.001,dmap=0.005' (empty = off)")
-	flag.DurationVar(&p.spinBudget, "spin-budget", 0, "demote synchronous waits predicted to exceed this budget to async switches (0 = off)")
-	flag.Float64Var(&p.prefetchThrottle, "prefetch-throttle", 0, "ITS skips prefetch walks when this fraction of storage channels is busy, e.g. 0.75 (0 = off)")
+	p.RunFlags.Bind(flag.CommandLine)
 	flag.Parse()
 
 	if err := run(p); err != nil {
@@ -107,35 +89,17 @@ func run(p params) error {
 	if err != nil {
 		return err
 	}
-	trc, err := obs.TracerFromFlags(p.traceOut, p.traceFormat, p.traceFilter)
+	opts, err := p.RunFlags.Options()
 	if err != nil {
 		return err
 	}
-	faultCfg, err := fault.ParseSpec(p.faults)
-	if err != nil {
-		return err
-	}
-	if p.spinBudget < 0 {
-		return fmt.Errorf("negative spin budget %v", p.spinBudget)
-	}
-	if p.prefetchThrottle < 0 || p.prefetchThrottle > 1 {
-		return fmt.Errorf("prefetch-throttle %v outside [0,1]", p.prefetchThrottle)
-	}
-	opts := core.Options{
-		Scale:         p.scale,
-		Cores:         p.cores,
-		Tracer:        trc,
-		GaugeInterval: sim.Time(p.gaugeEvery.Nanoseconds()),
-		Fault:         faultCfg,
-		SpinBudget:    sim.Time(p.spinBudget.Nanoseconds()),
-		ITS:           policy.ITSConfig{PrefetchThrottleFraction: p.prefetchThrottle},
-	}
+	opts.Scale = p.scale
 	if p.dramRatio > 0 {
 		cfg := coreMachineConfig(p.scale, p.dramRatio)
 		opts.Machine = &cfg
 	}
 	run, err := core.RunBatch(b, kind, opts)
-	if cerr := trc.Close(); cerr != nil && err == nil {
+	if cerr := opts.Tracer.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("finalizing trace: %w", cerr)
 	}
 	if err != nil {
@@ -170,19 +134,17 @@ func run(p params) error {
 	if run.BlockedHist.Count() > 0 {
 		fmt.Printf("  blocked waits     %s\n", run.BlockedHist)
 	}
-	if len(run.Cores) > 0 {
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(w, "  core\tclock\tcpu\tidle\tswitch\tstolen\tdispatches\tsteals\tmigrated-away")
-		for _, c := range run.Cores {
-			fmt.Fprintf(w, "  %d\t%v\t%v\t%v\t%v\t%v\t%d\t%d\t%d\n",
-				c.ID, c.LocalClock, c.CPUTime, c.SchedulerIdle, c.ContextSwitchTime,
-				c.Stolen(), c.Dispatches, c.Steals, c.MigratedAway)
-		}
-		w.Flush()
+	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(w, "  core\tclock\tcpu\tidle\tswitch\tstolen\tdispatches\tsteals\tmigrated-away")
+	for _, c := range run.Cores {
+		fmt.Fprintf(w, "  %d\t%v\t%v\t%v\t%v\t%v\t%d\t%d\t%d\n",
+			c.ID, c.LocalClock, c.CPUTime, c.SchedulerIdle, c.ContextSwitchTime,
+			c.Stolen(), c.Dispatches, c.Steals, c.MigratedAway)
 	}
+	w.Flush()
 
 	if p.verbose {
-		w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "  pid\tname\tprio\tfinish\tmajflt\tllc-miss\tmem-stall\tstorage-wait\tstolen\tpf-issued\tpf-useful")
 		for _, p := range run.Procs {
 			fmt.Fprintf(w, "  %d\t%s\t%d\t%v\t%d\t%d\t%v\t%v\t%v\t%d\t%d\n",

@@ -6,16 +6,18 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"itsim/internal/core"
 )
 
 // p returns default CLI params overridden by fn.
 func p(fn func(*params)) params {
 	pp := params{
-		batch:       "1_Data_Intensive",
-		policy:      "ITS",
-		scale:       0.01,
-		format:      "text",
-		traceFormat: "chrome",
+		batch:    "1_Data_Intensive",
+		policy:   "ITS",
+		scale:    0.01,
+		format:   "text",
+		RunFlags: core.RunFlags{TraceFormat: "chrome"},
 	}
 	if fn != nil {
 		fn(&pp)
@@ -53,12 +55,12 @@ func TestRunCLIMultiCore(t *testing.T) {
 		t.Skip("CLI run in -short mode")
 	}
 	if err := run(p(func(pp *params) {
-		pp.cores = 4
+		pp.Cores = 4
 		pp.verbose = true
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(p(func(pp *params) { pp.cores = -1 })); err == nil {
+	if err := run(p(func(pp *params) { pp.Cores = -1 })); err == nil {
 		t.Fatal("negative core count accepted")
 	}
 }
@@ -70,8 +72,8 @@ func TestRunCLITrace(t *testing.T) {
 	dir := t.TempDir()
 	chrome := filepath.Join(dir, "trace.json")
 	if err := run(p(func(pp *params) {
-		pp.traceOut = chrome
-		pp.gaugeEvery = 50 * time.Microsecond
+		pp.TraceOut = chrome
+		pp.GaugeInterval = 50 * time.Microsecond
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +93,9 @@ func TestRunCLITrace(t *testing.T) {
 
 	jsonl := filepath.Join(dir, "trace.jsonl")
 	if err := run(p(func(pp *params) {
-		pp.traceOut = jsonl
-		pp.traceFormat = "jsonl"
-		pp.traceFilter = "MajorFaultBegin,MajorFaultEnd"
+		pp.TraceOut = jsonl
+		pp.TraceFormat = "jsonl"
+		pp.TraceFilter = "MajorFaultBegin,MajorFaultEnd"
 	})); err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +115,8 @@ func TestRunCLIRejectsUnknown(t *testing.T) {
 		t.Fatal("unknown format accepted")
 	}
 	if err := run(p(func(pp *params) {
-		pp.traceOut = "x.json"
-		pp.traceFormat = "nope"
+		pp.TraceOut = "x.json"
+		pp.TraceFormat = "nope"
 	})); err == nil {
 		t.Fatal("unknown trace format accepted")
 	}

@@ -45,7 +45,7 @@ import (
 	"itsim/internal/workload"
 )
 
-// never is the no-pending-event sentinel, as in internal/smp.
+// never is the no-pending-event sentinel (the value of exec.Never).
 const never = sim.Time(math.MaxInt64)
 
 // DefaultSlots is the per-epoch request batch bound when Config.Slots is

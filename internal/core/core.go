@@ -8,7 +8,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"itsim/internal/chaos"
@@ -28,9 +27,9 @@ type Options struct {
 	// full-size experiment; tests use much smaller values).
 	Scale float64
 	// Cores selects the simulated core count (the -cores flag). 0 defers
-	// to Machine (or the single-core default); values above 1 run on the
-	// multi-core SMP model with per-core schedulers and work stealing.
-	// Invalid counts surface as errors from the run functions.
+	// to Machine (or the paper's single core); values above 1 add per-core
+	// schedulers and work stealing. Invalid counts surface as errors from
+	// the run functions.
 	Cores int
 	// Machine overrides the platform configuration; nil selects
 	// machine.DefaultConfig().
@@ -149,27 +148,25 @@ func policyFactory(kind policy.Kind, its policy.ITSConfig) func() policy.Policy 
 	}
 }
 
-// runMachine builds the right machine model for cfg (the single-core
-// machine, or the SMP model when more than one core is configured), runs the
-// specs on it and returns the metrics. Both models run the shared executor
-// in internal/exec; they differ only in coordination (plain run loop vs
-// bounded-skew coordinator with work stealing), so the 1-core outputs are
-// byte-identical on either path.
+// runMachine builds the machine for cfg through internal/smp (Cores=1 is the
+// paper's single-core platform), runs the specs on it and returns the
+// metrics. Invalid configurations come back as errors from smp.New.
 func runMachine(cfg machine.Config, newPolicy func() policy.Policy, name string, specs []machine.ProcessSpec, opts Options) (*metrics.Run, error) {
-	if newPolicy == nil {
-		return nil, errors.New("core: nil policy factory")
+	m, err := smp.New(cfg, newPolicy, name, specs)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Cores != 0 && cfg.Cores != 1 {
-		m, err := smp.New(cfg, newPolicy, name, specs)
-		if err != nil {
-			return nil, err
-		}
-		m.Instrument(opts.Tracer, opts.GaugeInterval)
-		return m.Run()
-	}
-	m := machine.New(cfg, newPolicy(), name, specs)
 	m.Instrument(opts.Tracer, opts.GaugeInterval)
 	return m.Run()
+}
+
+// runInstance runs specs under one policy instance. A stateful instance
+// cannot be shared across cores, so multi-core configurations are rejected.
+func runInstance(cfg machine.Config, pol policy.Policy, name string, specs []machine.ProcessSpec, opts Options) (*metrics.Run, error) {
+	if cfg.Cores > 1 {
+		return nil, fmt.Errorf("single policy instance cannot run on %d cores; use RunBatchWithPolicyFactory", cfg.Cores)
+	}
+	return runMachine(cfg, func() policy.Policy { return pol }, name, specs, opts)
 }
 
 // RunBatch executes one batch under one policy kind. The ITS kind honours
@@ -185,8 +182,10 @@ func RunBatchWithPolicyFactory(b workload.Batch, newPolicy func() policy.Policy,
 	run, err := runMachine(opts.machineConfig(b), newPolicy, b.Name, specsFor(b, opts.scale()), opts)
 	if err != nil {
 		name := "?"
-		if p := newPolicy(); p != nil {
-			name = p.Name()
+		if newPolicy != nil {
+			if p := newPolicy(); p != nil {
+				name = p.Name()
+			}
 		}
 		return run, fmt.Errorf("core: batch %s under %s: %w", b.Name, name, err)
 	}
@@ -198,13 +197,7 @@ func RunBatchWithPolicyFactory(b workload.Batch, newPolicy func() policy.Policy,
 // stateful instance cannot be shared across cores, multi-core options
 // return an error — use RunBatchWithPolicyFactory there.
 func RunBatchWithPolicy(b workload.Batch, pol policy.Policy, opts Options) (*metrics.Run, error) {
-	if cfg := opts.machineConfig(b); cfg.Cores != 0 && cfg.Cores != 1 {
-		return nil, fmt.Errorf("core: batch %s under %s: single policy instance cannot run on %d cores; use RunBatchWithPolicyFactory",
-			b.Name, pol.Name(), cfg.Cores)
-	}
-	m := machine.New(opts.machineConfig(b), pol, b.Name, specsFor(b, opts.scale()))
-	m.Instrument(opts.Tracer, opts.GaugeInterval)
-	run, err := m.Run()
+	run, err := runInstance(opts.machineConfig(b), pol, b.Name, specsFor(b, opts.scale()), opts)
 	if err != nil {
 		return run, fmt.Errorf("core: batch %s under %s: %w", b.Name, pol.Name(), err)
 	}
@@ -218,13 +211,7 @@ func RunBatchWithPolicy(b workload.Batch, pol policy.Policy, opts Options) (*met
 // multi-core options.
 func RunSpecs(name string, specs []machine.ProcessSpec, pol policy.Policy, dataIntensive int, opts Options) (*metrics.Run, error) {
 	cfg := opts.machineConfig(workload.Batch{DataIntensive: dataIntensive})
-	if cfg.Cores != 0 && cfg.Cores != 1 {
-		return nil, fmt.Errorf("core: custom run %s under %s: single policy instance cannot run on %d cores; use RunBatchWithPolicyFactory",
-			name, pol.Name(), cfg.Cores)
-	}
-	m := machine.New(cfg, pol, name, specs)
-	m.Instrument(opts.Tracer, opts.GaugeInterval)
-	run, err := m.Run()
+	run, err := runInstance(cfg, pol, name, specs, opts)
 	if err != nil {
 		return run, fmt.Errorf("core: custom run %s under %s: %w", name, pol.Name(), err)
 	}

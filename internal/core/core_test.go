@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"regexp"
 	"testing"
 
 	"itsim/internal/machine"
@@ -288,5 +290,47 @@ func TestRunSpinSweep(t *testing.T) {
 	}
 	if generous != syncIdle {
 		t.Fatalf("generous spin (%v) should equal Sync (%v)", generous, syncIdle)
+	}
+}
+
+// TestInvalidConfigErrors: a malformed platform configuration comes back as
+// an error from the run entry points at every core count, never as a panic
+// from deep inside the cache or scheduler constructors.
+func TestInvalidConfigErrors(t *testing.T) {
+	b := workload.Batches()[0]
+	cases := []struct {
+		name string
+		mut  func(*machine.Config) // nil: run with no processes
+		want string
+	}{
+		{"llc_ways_3", func(c *machine.Config) { c.LLCWays = 3 }, "LLC ways 3"},
+		{"l1_ways_0", func(c *machine.Config) { c.L1Ways = 0 }, "L1 ways 0"},
+		{"min_slice_above_max", func(c *machine.Config) { c.MinSlice, c.MaxSlice = 2*sim.Millisecond, sim.Millisecond }, "max slice"},
+		{"max_slice_below_default_min", func(c *machine.Config) { c.MinSlice, c.MaxSlice = 0, sim.Millisecond }, "max slice"},
+		{"no_specs", nil, "no processes"},
+	}
+	for _, tc := range cases {
+		for _, cores := range []int{0, 1, 2} {
+			t.Run(fmt.Sprintf("%s/cores=%d", tc.name, cores), func(t *testing.T) {
+				opts := tinyOpts()
+				opts.Machine.Cores = cores
+				var err error
+				switch {
+				case tc.mut == nil && cores > 1:
+					// RunSpecs takes one policy instance and rejects
+					// multi-core runs up front; an empty batch reaches
+					// the machine with no processes instead.
+					_, err = RunBatch(workload.Batch{Name: "empty"}, policy.Sync, opts)
+				case tc.mut == nil:
+					_, err = RunSpecs("empty", nil, policy.New(policy.Sync), 0, opts)
+				default:
+					tc.mut(opts.Machine)
+					_, err = RunBatch(b, policy.Sync, opts)
+				}
+				if err == nil || !regexp.MustCompile(tc.want).MatchString(err.Error()) {
+					t.Fatalf("got error %v, want one matching %q", err, tc.want)
+				}
+			})
+		}
 	}
 }

@@ -1,17 +1,15 @@
-// Package exec is the shared core-execution engine: the per-record executor
-// that both the single-core machine (internal/machine) and the multi-core
-// SMP model (internal/smp) instantiate. One implementation of dispatch,
-// record peek/pop/advance, cache access with inclusive LLC fill, swap-in
-// management, prefetching, the major-fault flow of the paper's Figure 1, and
-// fault-aware pre-execution — parameterized over core-local state (engine/
-// clock, L1, TLB, runqueue, policy instance, pre-execute carve-out, metrics
-// sink) with the shared LLC/kernel/swap/ULL state behind it.
+// Package exec is the core-execution engine: the per-record executor the
+// machine model (internal/smp) instantiates once per simulated core. One
+// implementation of dispatch, record peek/pop/advance, cache access with
+// inclusive LLC fill, swap-in management, prefetching, the major-fault flow
+// of the paper's Figure 1, and fault-aware pre-execution — parameterized
+// over core-local state (engine/clock, L1, TLB, runqueue, policy instance,
+// pre-execute carve-out, metrics sink) with the shared LLC/kernel/swap/ULL
+// state behind it.
 //
 // A Core is one simulated CPU; a Shared is everything the cores contend on.
-// The single-core machine is a Shared with one Core driven by a plain run
-// loop; the SMP model is a Shared with N Cores driven by a bounded-skew
-// coordinator. Both produce byte-identical output for the same inputs at
-// N=1 because they run the same code.
+// The machine is a Shared with N Cores driven by internal/smp's
+// bounded-skew coordinator; the paper's platform is N=1.
 package exec
 
 import (
@@ -21,6 +19,7 @@ import (
 	"itsim/internal/cache"
 	"itsim/internal/fault"
 	"itsim/internal/mem"
+	"itsim/internal/sched"
 	"itsim/internal/sim"
 	"itsim/internal/storage"
 	"itsim/internal/trace"
@@ -49,11 +48,10 @@ const InterruptCost = 300 * sim.Nanosecond
 // they describe the simulated machine's configuration, which users reach
 // through machine.Config.)
 type Config struct {
-	// Cores is the number of simulated CPU cores. 1 (or 0, for configs
-	// built before the field existed) selects the single-core machine;
-	// larger values select the internal/smp model, which shares the LLC,
-	// kernel and storage path across cores. Validate rejects
-	// non-positive values on paths that take user input.
+	// Cores is the number of simulated CPU cores sharing the LLC, kernel
+	// and storage path (1 = the paper's platform; internal/smp reads 0,
+	// for configs built before the field existed, as 1). Validate rejects
+	// non-positive values.
 	Cores int
 	// LLCSize/LLCWays/LineBytes shape the last-level cache. When the
 	// policy needs a pre-execute cache, half of LLCSize goes to it.
@@ -206,6 +204,24 @@ func (c Config) PreExecPartition(cores int) (pxWaysPerCore, llcWays int, err err
 	return per, llcWays, nil
 }
 
+// sliceRange returns the SCHED_RR slice bounds NewShared installs, after
+// defaulting a non-positive bound to the paper's (sched.MinSlice or
+// sched.MaxSlice); ok is false when both are unset and the scheduler keeps
+// its built-in range.
+func (c Config) sliceRange() (min, max sim.Time, ok bool) {
+	if c.MinSlice <= 0 && c.MaxSlice <= 0 {
+		return 0, 0, false
+	}
+	min, max = c.MinSlice, c.MaxSlice
+	if min <= 0 {
+		min = sched.MinSlice
+	}
+	if max <= 0 {
+		max = sched.MaxSlice
+	}
+	return min, max, true
+}
+
 // Validate checks the platform configuration, returning errors instead of
 // the panics (or silent nonsense) the low-level constructors produce: paths
 // that accept user input — the CLIs' -cores flag, core.Options — validate
@@ -240,6 +256,10 @@ func (c Config) Validate() error {
 	}
 	if c.SpinBudget < 0 {
 		return fmt.Errorf("machine: spin budget must be >= 0, got %v", c.SpinBudget)
+	}
+	if min, max, ok := c.sliceRange(); ok && max < min {
+		return fmt.Errorf("machine: max slice %v is below min slice %v (an unset bound defaults to %v or %v)",
+			max, min, sched.MinSlice, sched.MaxSlice)
 	}
 	return nil
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // Never is the no-horizon sentinel: RunUntil(Never) executes without ever
-// pausing for a coordinator (the single-core machine's mode).
+// pausing for a coordinator, and no core is due later than Never.
 const Never = sim.Time(math.MaxInt64)
 
 // Core is one simulated CPU: a private virtual clock, L1, optional TLB,
@@ -27,7 +27,7 @@ const Never = sim.Time(math.MaxInt64)
 type Core struct {
 	// S is the shared platform state behind this core.
 	S *Shared
-	// ID is the core number (0 on the single-core machine).
+	// ID is the core number (0 on a one-core machine).
 	ID int
 	// Eng is the core's virtual clock and event queue.
 	Eng *sim.Engine
@@ -44,8 +44,7 @@ type Core struct {
 	Pol policy.Policy
 	// Aud is the core's always-on accounting auditor.
 	Aud *obs.Auditor
-	// Met is the per-core metrics ledger; nil on the legacy single-core
-	// machine, whose summaries carry no per-core section.
+	// Met is the per-core metrics ledger.
 	Met *metrics.Core
 
 	// Cur is the dispatched process; it stays dispatched across horizon
@@ -103,9 +102,7 @@ func (c *Core) Dispatch(pid int) {
 	}
 	p.sliceLeft = c.Sch.SliceFor(pid)
 	c.DispatchedAt = c.Eng.Now()
-	if c.Met != nil {
-		c.Met.Dispatches++
-	}
+	c.Met.Dispatches++
 	if s.Want[obs.EvDispatch] {
 		c.Emit(obs.Event{Time: c.DispatchedAt, Type: obs.EvDispatch, PID: pid,
 			Cause: p.Spec.Name, Value: int64(p.Spec.Priority)})
@@ -115,8 +112,7 @@ func (c *Core) Dispatch(pid int) {
 
 // RunUntil executes the dispatched process until it blocks, exhausts its
 // slice, finishes — or crosses the coordinator's horizon, in which case it
-// stays dispatched (Cur != nil) and resumes on the core's next step. The
-// single-core machine passes Never.
+// stays dispatched (Cur != nil) and resumes on the core's next step.
 func (c *Core) RunUntil(horizon sim.Time) {
 	s := c.S
 	p := c.Cur
@@ -215,9 +211,7 @@ func (c *Core) chargeSwitch(p *Proc) {
 		c.TLB.Flush()
 		cost = kernel.ContextSwitchCost
 	}
-	if c.Met != nil {
-		c.Met.ContextSwitchTime += cost
-	}
+	c.Met.ContextSwitchTime += cost
 	c.advance(nil, cost)
 	if c.TLB == nil {
 		// The pollution tail (TLB shootdown, re-missing hot cache lines,
@@ -271,9 +265,7 @@ func (c *Core) advance(p *Proc, d sim.Time) {
 	if p != nil {
 		p.sliceLeft -= d
 		p.Met.CPUTime += d
-		if c.Met != nil {
-			c.Met.CPUTime += d
-		}
+		c.Met.CPUTime += d
 	}
 }
 
@@ -569,9 +561,7 @@ func (c *Core) majorFault(p *Proc, rec trace.Record) (blocked bool) {
 		}
 		c.advance(p, walk)
 		p.Met.StolenPrefetch += walk
-		if c.Met != nil {
-			c.Met.StolenPrefetch += walk
-		}
+		c.Met.StolenPrefetch += walk
 		if s.Want[obs.EvPrefetchWalk] {
 			c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvPrefetchWalk, PID: p.PID,
 				Dur: walk, Value: int64(d.PrefetchScanned)})
@@ -708,9 +698,7 @@ func (c *Core) preExecute(p *Proc, faulting trace.Record, window sim.Time) {
 	if res.Used > 0 {
 		c.advance(p, res.Used)
 		p.Met.StolenPreexec += res.Used - res.Overhead
-		if c.Met != nil {
-			c.Met.StolenPreexec += res.Used - res.Overhead
-		}
+		c.Met.StolenPreexec += res.Used - res.Overhead
 		p.Met.RecoveryOverhead += res.Overhead
 	}
 	p.Met.PreexecInstrs += res.Instrs

@@ -6,6 +6,7 @@ import (
 
 	"itsim/internal/cache"
 	"itsim/internal/policy"
+	"itsim/internal/workload"
 )
 
 // TestLLCFillBackInvalidatesEveryL1 pins the inclusivity invariant at its
@@ -50,6 +51,45 @@ func TestLLCFillBackInvalidatesEveryL1(t *testing.T) {
 	}
 }
 
+// TestPreExecCachePartitionsWays reads the geometry NewShared actually built:
+// the shared LLC plus every core's pre-execute carve-out must add back up to
+// the configured LLC, in both bytes and ways.
+func TestPreExecCachePartitionsWays(t *testing.T) {
+	gen := workload.Batches()[0].Generators(0.01)[0]
+	specs := []ProcessSpec{{Name: gen.Name(), Gen: gen, Priority: 1, BaseVA: workload.BaseVA}}
+	for _, cores := range []int{1, 2} {
+		for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
+			cfg := DefaultConfig()
+			cfg.LLCSize = 1 << 20
+			cfg.PreExecCacheFraction = frac
+			pols := make([]policy.Policy, cores)
+			for i := range pols {
+				pols[i] = policy.New(policy.SyncRunahead)
+			}
+			s, err := NewShared(cfg, pols, "t", specs)
+			if err != nil {
+				t.Fatalf("cores %d frac %v: %v", cores, frac, err)
+			}
+			llc := s.LLC.Config()
+			size, ways := llc.SizeBytes, llc.Ways
+			for _, c := range s.Cores {
+				px := c.PX.PXC.Config()
+				if px.SizeBytes <= 0 || px.Ways <= 0 {
+					t.Fatalf("cores %d frac %v: core %d has empty pre-execute cache %+v", cores, frac, c.ID, px)
+				}
+				size += px.SizeBytes
+				ways += px.Ways
+			}
+			if size != cfg.LLCSize {
+				t.Fatalf("cores %d frac %v: LLC + px = %d bytes, want %d", cores, frac, size, cfg.LLCSize)
+			}
+			if ways != cfg.LLCWays {
+				t.Fatalf("cores %d frac %v: LLC + px = %d ways, want %d", cores, frac, ways, cfg.LLCWays)
+			}
+		}
+	}
+}
+
 func TestNewSharedValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cases := []struct {
@@ -63,7 +103,7 @@ func TestNewSharedValidation(t *testing.T) {
 		{"no processes", []policy.Policy{policy.New(policy.Sync)}, nil, "no processes"},
 	}
 	for _, tc := range cases {
-		_, err := NewShared(cfg, tc.pols, "t", tc.specs, false)
+		_, err := NewShared(cfg, tc.pols, "t", tc.specs)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}

@@ -23,8 +23,8 @@ import (
 // Shared is the state every core of one simulated platform contends on: the
 // kernel (page tables, swap path, DRAM), the inclusive LLC, the ULL device
 // behind its PCIe link (owned by the kernel), the process table and the
-// run-level metrics. One Shared plus one Core is the single-core machine;
-// one Shared plus N Cores is the SMP model.
+// run-level metrics. The SMP model (internal/smp) drives one Shared with
+// N Cores; N=1 is the paper's single-core platform.
 type Shared struct {
 	// Cfg is the platform configuration after defaulting.
 	Cfg Config
@@ -86,10 +86,8 @@ func (s *Shared) ReleasePendingIO(pio *PendingIO) {
 // NewShared builds the shared platform and one Core per policy instance
 // (len(pols) = core count; policies are stateful, so each core needs its
 // own). Processes are assigned to cores round-robin (pid % N — with N=1,
-// all to the single core). When perCoreMetrics is set each core gets a
-// metrics.Core ledger; the legacy single-core machine leaves it off so its
-// summaries stay free of a per-core section.
-func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []ProcessSpec, perCoreMetrics bool) (*Shared, error) {
+// all to the single core), and every core gets a metrics.Core ledger.
+func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []ProcessSpec) (*Shared, error) {
 	if len(pols) == 0 {
 		return nil, errors.New("exec: no policy instances")
 	}
@@ -189,10 +187,8 @@ func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []Proce
 			L1:        cache.New(cache.Config{SizeBytes: cfg.L1Size, LineBytes: cfg.LineBytes, Ways: cfg.L1Ways}),
 			Pol:       pols[i],
 			Aud:       obs.NewAuditor(),
+			Met:       s.Run.AddCore(i),
 			lastPXPid: -1,
-		}
-		if perCoreMetrics {
-			c.Met = s.Run.AddCore(i)
 		}
 		if pxSize > 0 {
 			c.PX = preexec.New(cpu.NewPreExecCache(cache.Config{
@@ -205,14 +201,7 @@ func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []Proce
 		if cfg.StrictPriority {
 			c.Sch.SetStrictPriority(true)
 		}
-		if cfg.MinSlice > 0 || cfg.MaxSlice > 0 {
-			minS, maxS := cfg.MinSlice, cfg.MaxSlice
-			if minS <= 0 {
-				minS = sched.MinSlice
-			}
-			if maxS <= 0 {
-				maxS = sched.MaxSlice
-			}
+		if minS, maxS, ok := cfg.sliceRange(); ok {
 			c.Sch.SetSliceRange(minS, maxS)
 		}
 		c.Sch.SetPriorityRange(lo, hi)
@@ -306,7 +295,7 @@ func (s *Shared) RefreshWant() {
 // CollectInjection copies the fault injector's end-of-run counters (plus
 // the kernel's retry count) into the run record. With no injector
 // attached it leaves Run.Injection nil, so fault-free summaries keep the
-// historical byte layout. Both run loops call it after the last event.
+// historical byte layout. The run loop calls it after the last event.
 func (s *Shared) CollectInjection() {
 	inj := s.Krn.Device().Injector()
 	if inj == nil {
@@ -333,8 +322,7 @@ func (s *Shared) Alive() int {
 // llcFill installs a line in the shared LLC; the inclusive hierarchy
 // back-invalidates the displaced victim from every core's L1 (a line
 // evicted from the LLC cannot stay live in an inner cache). This is the
-// single implementation of the inclusivity invariant for both the
-// single-core machine (one L1) and the SMP model.
+// single implementation of the inclusivity invariant at any core count.
 func (s *Shared) llcFill(key uint64) {
 	if victim, ok := s.LLC.Fill(key); ok {
 		addr := s.LLC.AddrOf(victim)

@@ -1,9 +1,10 @@
-package machine
+package machine_test
 
 import (
 	"runtime"
 	"testing"
 
+	"itsim/internal/machine"
 	"itsim/internal/policy"
 	"itsim/internal/workload"
 )
@@ -20,13 +21,13 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			batch := workload.Batches()[1]
 			gens := batch.Generators(0.02)
-			specs := make([]ProcessSpec, len(gens))
+			specs := make([]machine.ProcessSpec, len(gens))
 			records := 0
 			for j, g := range gens {
-				specs[j] = ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
+				specs[j] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
 				records += g.Len()
 			}
-			m := New(testConfig(), policy.New(kind), batch.Name, specs)
+			m := newMachine(t, testConfig(), policy.New(kind), batch.Name, specs)
 
 			var before, after runtime.MemStats
 			runtime.GC()

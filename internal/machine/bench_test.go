@@ -1,9 +1,10 @@
-package machine
+package machine_test
 
 import (
 	"io"
 	"testing"
 
+	"itsim/internal/machine"
 	"itsim/internal/obs"
 	"itsim/internal/policy"
 	"itsim/internal/workload"
@@ -19,13 +20,13 @@ func BenchmarkMachineRun(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				batch := workload.Batches()[1]
 				gens := batch.Generators(0.02)
-				specs := make([]ProcessSpec, len(gens))
+				specs := make([]machine.ProcessSpec, len(gens))
 				records = 0
 				for j, g := range gens {
-					specs[j] = ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
+					specs[j] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
 					records += g.Len()
 				}
-				m := New(testConfig(), policy.New(kind), batch.Name, specs)
+				m := newMachine(b, testConfig(), policy.New(kind), batch.Name, specs)
 				if _, err := m.Run(); err != nil {
 					b.Fatal(err)
 				}
@@ -40,11 +41,11 @@ func BenchmarkMachineRun(b *testing.B) {
 func benchTracedRun(b *testing.B, trc *obs.Tracer) {
 	batch := workload.Batches()[1]
 	gens := batch.Generators(0.02)
-	specs := make([]ProcessSpec, len(gens))
+	specs := make([]machine.ProcessSpec, len(gens))
 	for j, g := range gens {
-		specs[j] = ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
+		specs[j] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
 	}
-	m := New(testConfig(), policy.New(policy.ITS), batch.Name, specs)
+	m := newMachine(b, testConfig(), policy.New(policy.ITS), batch.Name, specs)
 	m.Instrument(trc, 0)
 	if _, err := m.Run(); err != nil {
 		b.Fatal(err)

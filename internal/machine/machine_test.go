@@ -1,4 +1,4 @@
-package machine
+package machine_test
 
 import (
 	"testing"
@@ -6,16 +6,29 @@ import (
 
 	"itsim/internal/exec"
 	"itsim/internal/kernel"
+	"itsim/internal/machine"
 	"itsim/internal/metrics"
 	"itsim/internal/policy"
 	"itsim/internal/sim"
+	"itsim/internal/smp"
 	"itsim/internal/trace"
 	"itsim/internal/workload"
 )
 
+// newMachine builds the one-core platform through smp.New with pol as the
+// core's policy instance.
+func newMachine(t testing.TB, cfg machine.Config, pol policy.Policy, name string, specs []machine.ProcessSpec) *smp.Machine {
+	t.Helper()
+	m, err := smp.New(cfg, func() policy.Policy { return pol }, name, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // testConfig returns a small platform so tests run in milliseconds.
-func testConfig() Config {
-	cfg := DefaultConfig()
+func testConfig() machine.Config {
+	cfg := machine.DefaultConfig()
 	cfg.LLCSize = 256 << 10
 	cfg.L1Size = 8 << 10
 	cfg.MinSlice = 20 * sim.Microsecond
@@ -40,17 +53,17 @@ func seqGen(name string, n int, stride uint64) trace.Generator {
 	return g
 }
 
-func specFor(gens ...trace.Generator) []ProcessSpec {
-	specs := make([]ProcessSpec, len(gens))
+func specFor(gens ...trace.Generator) []machine.ProcessSpec {
+	specs := make([]machine.ProcessSpec, len(gens))
 	for i, g := range gens {
-		specs[i] = ProcessSpec{Name: g.Name(), Gen: g, Priority: i + 1}
+		specs[i] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: i + 1}
 	}
 	return specs
 }
 
 func TestSingleProcessCompletes(t *testing.T) {
 	for _, kind := range policy.Kinds() {
-		m := New(testConfig(), policy.New(kind), "t", specFor(seqGen("a", 5000, 64)))
+		m := newMachine(t, testConfig(), policy.New(kind), "t", specFor(seqGen("a", 5000, 64)))
 		run, err := m.Run()
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -69,7 +82,7 @@ func TestSingleProcessCompletes(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	mk := func() *metrics_run {
-		m := New(testConfig(), policy.New(policy.ITS), "t",
+		m := newMachine(t, testConfig(), policy.New(policy.ITS), "t",
 			specFor(seqGen("a", 3000, 64), seqGen("b", 3000, 128)))
 		run, err := m.Run()
 		if err != nil {
@@ -94,11 +107,11 @@ func TestWorkloadBatchUnderEveryPolicy(t *testing.T) {
 	b := workload.Batches()[1] // 1_Data_Intensive
 	for _, kind := range policy.Kinds() {
 		gens := b.Generators(0.01)
-		specs := make([]ProcessSpec, len(gens))
+		specs := make([]machine.ProcessSpec, len(gens))
 		for i, g := range gens {
-			specs[i] = ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
+			specs[i] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
 		}
-		m := New(testConfig(), policy.New(kind), b.Name, specs)
+		m := newMachine(t, testConfig(), policy.New(kind), b.Name, specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -117,7 +130,7 @@ func TestWorkloadBatchUnderEveryPolicy(t *testing.T) {
 func TestAsyncBlocksAndSwitches(t *testing.T) {
 	gens := workload.Batches()[0].Generators(0.01)
 	specs := specFor(gens[0], gens[1])
-	m := New(testConfig(), policy.New(policy.Async), "t", specs)
+	m := newMachine(t, testConfig(), policy.New(policy.Async), "t", specs)
 	run, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +156,7 @@ func TestAsyncBlocksAndSwitches(t *testing.T) {
 
 func TestSyncBusyWaits(t *testing.T) {
 	gens := workload.Batches()[0].Generators(0.01)
-	m := New(testConfig(), policy.New(policy.Sync), "t", specFor(gens[0], gens[1]))
+	m := newMachine(t, testConfig(), policy.New(policy.Sync), "t", specFor(gens[0], gens[1]))
 	run, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -165,11 +178,11 @@ func TestSyncBusyWaits(t *testing.T) {
 
 func TestITSPrefetchesAndSteals(t *testing.T) {
 	gens := workload.Batches()[0].Generators(0.02)
-	specs := make([]ProcessSpec, 3)
+	specs := make([]machine.ProcessSpec, 3)
 	for i := 0; i < 3; i++ {
-		specs[i] = ProcessSpec{Name: gens[i].Name(), Gen: gens[i], Priority: i + 1, BaseVA: workload.BaseVA}
+		specs[i] = machine.ProcessSpec{Name: gens[i].Name(), Gen: gens[i], Priority: i + 1, BaseVA: workload.BaseVA}
 	}
-	m := New(testConfig(), policy.New(policy.ITS), "t", specs)
+	m := newMachine(t, testConfig(), policy.New(policy.ITS), "t", specs)
 	run, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -200,11 +213,11 @@ func TestITSBeatsSyncOnIdle(t *testing.T) {
 	b := workload.Batches()[1]
 	mkRun := func(kind policy.Kind) sim.Time {
 		gens := b.Generators(0.02)
-		specs := make([]ProcessSpec, len(gens))
+		specs := make([]machine.ProcessSpec, len(gens))
 		for i, g := range gens {
-			specs[i] = ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
+			specs[i] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
 		}
-		m := New(testConfig(), policy.New(kind), b.Name, specs)
+		m := newMachine(t, testConfig(), policy.New(kind), b.Name, specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -222,13 +235,13 @@ func TestRunaheadCutsCacheMisses(t *testing.T) {
 	b := workload.Batches()[0]
 	mkRun := func(kind policy.Kind) uint64 {
 		gens := b.Generators(0.02)
-		specs := make([]ProcessSpec, len(gens))
+		specs := make([]machine.ProcessSpec, len(gens))
 		for i, g := range gens {
-			specs[i] = ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
+			specs[i] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
 		}
 		cfg := testConfig()
 		cfg.LLCSize = 1 << 20
-		m := New(cfg, policy.New(kind), b.Name, specs)
+		m := newMachine(t, cfg, policy.New(kind), b.Name, specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -246,13 +259,13 @@ func TestWarmStartReducesColdFaults(t *testing.T) {
 	b := workload.Batches()[0]
 	mkRun := func(warm float64) uint64 {
 		gens := b.Generators(0.01)
-		specs := make([]ProcessSpec, len(gens))
+		specs := make([]machine.ProcessSpec, len(gens))
 		for i, g := range gens {
-			specs[i] = ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
+			specs[i] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
 		}
 		cfg := testConfig()
 		cfg.WarmFraction = warm
-		m := New(cfg, policy.New(policy.Sync), b.Name, specs)
+		m := newMachine(t, cfg, policy.New(policy.Sync), b.Name, specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -269,19 +282,16 @@ func TestWarmStartReducesColdFaults(t *testing.T) {
 func TestMaxSimTimeAborts(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxSimTime = 10 * sim.Microsecond
-	m := New(cfg, policy.New(policy.Sync), "t", specFor(seqGen("a", 500000, 64)))
+	m := newMachine(t, cfg, policy.New(policy.Sync), "t", specFor(seqGen("a", 500000, 64)))
 	if _, err := m.Run(); err == nil {
 		t.Fatal("MaxSimTime exceeded without error")
 	}
 }
 
-func TestNoProcessesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty spec list accepted")
-		}
-	}()
-	New(testConfig(), policy.New(policy.Sync), "t", nil)
+func TestNoProcessesErrors(t *testing.T) {
+	if _, err := smp.New(testConfig(), func() policy.Policy { return policy.New(policy.Sync) }, "t", nil); err == nil {
+		t.Fatal("empty spec list accepted")
+	}
 }
 
 func TestTaggedAddressesIsolateProcesses(t *testing.T) {
@@ -299,7 +309,7 @@ func TestContextSwitchCostCharged(t *testing.T) {
 	cfg := testConfig()
 	cfg.MinSlice = 20 * sim.Microsecond
 	cfg.MaxSlice = 20 * sim.Microsecond
-	m := New(cfg, policy.New(policy.Sync), "t",
+	m := newMachine(t, cfg, policy.New(policy.Sync), "t",
 		specFor(seqGen("a", 2000, 8), seqGen("b", 2000, 8)))
 	run, err := m.Run()
 	if err != nil {
@@ -315,7 +325,7 @@ func TestContextSwitchCostCharged(t *testing.T) {
 }
 
 func TestFinishTimesOrderedByCompletion(t *testing.T) {
-	m := New(testConfig(), policy.New(policy.Sync), "t",
+	m := newMachine(t, testConfig(), policy.New(policy.Sync), "t",
 		specFor(seqGen("short", 1000, 64), seqGen("long", 20000, 64)))
 	run, err := m.Run()
 	if err != nil {
@@ -335,10 +345,10 @@ func TestRecoveryInterruptVsPolling(t *testing.T) {
 	mkRun := func(poll sim.Time) *run2 {
 		cfg := testConfig()
 		cfg.RecoveryPoll = poll
-		specs := []ProcessSpec{
+		specs := []machine.ProcessSpec{
 			{Name: gens[0].Name(), Gen: gens[0], Priority: 1, BaseVA: workload.BaseVA},
 		}
-		m := New(cfg, policy.New(policy.SyncRunahead), "t", specs)
+		m := newMachine(t, cfg, policy.New(policy.SyncRunahead), "t", specs)
 		r, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -374,11 +384,11 @@ func TestFaultOnInflightPrefetchJoins(t *testing.T) {
 	// the existing DMA, not start a second one: device swap-in count stays
 	// equal to distinct pages fetched.
 	gens := workload.Batches()[0].Generators(0.01)
-	specs := []ProcessSpec{
+	specs := []machine.ProcessSpec{
 		{Name: gens[0].Name(), Gen: gens[0], Priority: 2, BaseVA: workload.BaseVA},
 		{Name: gens[1].Name(), Gen: gens[1], Priority: 1, BaseVA: workload.BaseVA},
 	}
-	m := New(testConfig(), policy.New(policy.ITS), "t", specs)
+	m := newMachine(t, testConfig(), policy.New(policy.ITS), "t", specs)
 	run, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -401,11 +411,11 @@ func TestInstructionConservation(t *testing.T) {
 			st := trace.Analyze(g)
 			want += st.Instrs
 		}
-		specs := make([]ProcessSpec, 3)
+		specs := make([]machine.ProcessSpec, 3)
 		for i := 0; i < 3; i++ {
-			specs[i] = ProcessSpec{Name: gens[i].Name(), Gen: gens[i], Priority: i + 1, BaseVA: workload.BaseVA}
+			specs[i] = machine.ProcessSpec{Name: gens[i].Name(), Gen: gens[i], Priority: i + 1, BaseVA: workload.BaseVA}
 		}
-		m := New(testConfig(), policy.New(kind), "t", specs)
+		m := newMachine(t, testConfig(), policy.New(kind), "t", specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -422,15 +432,15 @@ func TestInstructionConservation(t *testing.T) {
 
 func TestIdleNeverExceedsAggregateRuntime(t *testing.T) {
 	gens := workload.Batches()[3].Generators(0.01)
-	specs := make([]ProcessSpec, len(gens))
+	specs := make([]machine.ProcessSpec, len(gens))
 	for i, g := range gens {
-		specs[i] = ProcessSpec{Name: g.Name(), Gen: g, Priority: i + 1, BaseVA: workload.BaseVA}
+		specs[i] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: i + 1, BaseVA: workload.BaseVA}
 	}
 	for _, kind := range policy.Kinds() {
 		for i := range specs {
 			specs[i].Gen.Reset()
 		}
-		m := New(testConfig(), policy.New(kind), "t", specs)
+		m := newMachine(t, testConfig(), policy.New(kind), "t", specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -447,14 +457,14 @@ func TestTLBModeChargesMisses(t *testing.T) {
 	mkRun := func(tlbEntries int) *metrics_run {
 		cfg := testConfig()
 		cfg.TLBEntries = tlbEntries
-		specs := []ProcessSpec{
+		specs := []machine.ProcessSpec{
 			{Name: gens[0].Name(), Gen: gens[0], Priority: 2, BaseVA: workload.BaseVA},
 			{Name: gens[1].Name(), Gen: gens[1], Priority: 1, BaseVA: workload.BaseVA},
 		}
 		for i := range specs {
 			specs[i].Gen.Reset()
 		}
-		m := New(cfg, policy.New(policy.Sync), "t", specs)
+		m := newMachine(t, cfg, policy.New(policy.Sync), "t", specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -474,15 +484,15 @@ func TestTLBModeChargesMisses(t *testing.T) {
 
 func TestSpinBlockHybridBehaviour(t *testing.T) {
 	gens := workload.Batches()[1].Generators(0.01)
-	specs := make([]ProcessSpec, 4)
+	specs := make([]machine.ProcessSpec, 4)
 	for i := 0; i < 4; i++ {
-		specs[i] = ProcessSpec{Name: gens[i].Name(), Gen: gens[i], Priority: i + 1, BaseVA: workload.BaseVA}
+		specs[i] = machine.ProcessSpec{Name: gens[i].Name(), Gen: gens[i], Priority: i + 1, BaseVA: workload.BaseVA}
 	}
 	mkRun := func(pol policy.Policy) *metrics.Run {
 		for i := range specs {
 			specs[i].Gen.Reset()
 		}
-		m := New(testConfig(), pol, "t", specs)
+		m := newMachine(t, testConfig(), pol, "t", specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -522,11 +532,11 @@ func TestTimeConservation(t *testing.T) {
 	for _, kind := range policy.Kinds() {
 		b := workload.Batches()[2]
 		gens := b.Generators(0.01)
-		specs := make([]ProcessSpec, len(gens))
+		specs := make([]machine.ProcessSpec, len(gens))
 		for i, g := range gens {
-			specs[i] = ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
+			specs[i] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
 		}
-		m := New(testConfig(), policy.New(kind), b.Name, specs)
+		m := newMachine(t, testConfig(), policy.New(kind), b.Name, specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -546,23 +556,18 @@ func TestTimeConservation(t *testing.T) {
 	}
 }
 
+// TestPreExecCacheFractionPartitionsWays runs a pre-executing policy at each
+// carve-out fraction. The partition geometry itself is checked on the built
+// caches by exec's TestPreExecCachePartitionsWays.
 func TestPreExecCacheFractionPartitionsWays(t *testing.T) {
 	gens := workload.Batches()[0].Generators(0.01)
 	for _, frac := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
 		cfg := testConfig()
 		cfg.LLCSize = 1 << 20
 		cfg.PreExecCacheFraction = frac
-		specs := []ProcessSpec{{Name: gens[0].Name(), Gen: gens[0], Priority: 1, BaseVA: workload.BaseVA}}
+		specs := []machine.ProcessSpec{{Name: gens[0].Name(), Gen: gens[0], Priority: 1, BaseVA: workload.BaseVA}}
 		specs[0].Gen.Reset()
-		m := New(cfg, policy.New(policy.SyncRunahead), "t", specs)
-		got := m.LLC().Config()
-		pxCfg := m.core.PX.PXC.Config()
-		if got.SizeBytes+pxCfg.SizeBytes != cfg.LLCSize {
-			t.Fatalf("frac %v: LLC %d + px %d != %d", frac, got.SizeBytes, pxCfg.SizeBytes, cfg.LLCSize)
-		}
-		if got.Ways+pxCfg.Ways != cfg.LLCWays {
-			t.Fatalf("frac %v: ways %d + %d != %d", frac, got.Ways, pxCfg.Ways, cfg.LLCWays)
-		}
+		m := newMachine(t, cfg, policy.New(policy.SyncRunahead), "t", specs)
 		if _, err := m.Run(); err != nil {
 			t.Fatalf("frac %v: %v", frac, err)
 		}
@@ -580,7 +585,7 @@ func TestRandomTracesProperty(t *testing.T) {
 			seeds = seeds[:3]
 		}
 		kind := policy.Kinds()[int(polIdx)%len(policy.Kinds())]
-		var specs []ProcessSpec
+		var specs []machine.ProcessSpec
 		var want uint64
 		for i, seed := range seeds {
 			p := workload.Profile{
@@ -596,11 +601,11 @@ func TestRandomTracesProperty(t *testing.T) {
 			g := workload.New(p)
 			st := trace.Analyze(g)
 			want += st.Instrs
-			specs = append(specs, ProcessSpec{
+			specs = append(specs, machine.ProcessSpec{
 				Name: "rnd", Gen: g, Priority: i + 1, BaseVA: workload.BaseVA,
 			})
 		}
-		m := New(testConfig(), policy.New(kind), "prop", specs)
+		m := newMachine(t, testConfig(), policy.New(kind), "prop", specs)
 		run, err := m.Run()
 		if err != nil {
 			return false

@@ -1,10 +1,11 @@
-package machine
+package machine_test
 
 import (
 	"bytes"
 	"encoding/json"
 	"testing"
 
+	"itsim/internal/machine"
 	"itsim/internal/policy"
 	"itsim/internal/trace"
 )
@@ -29,7 +30,7 @@ func TestStreamEquivalence(t *testing.T) {
 
 	for _, kind := range policy.Kinds() {
 		runOnce := func(stream bool) []byte {
-			specs := make([]ProcessSpec, len(gens))
+			specs := make([]machine.ProcessSpec, len(gens))
 			for i := range gens {
 				var g trace.Generator
 				var err error
@@ -41,9 +42,9 @@ func TestStreamEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				specs[i] = ProcessSpec{Name: g.Name(), Gen: g, Priority: i + 1}
+				specs[i] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: i + 1}
 			}
-			m := New(testConfig(), policy.New(kind), "stream-eq", specs)
+			m := newMachine(t, testConfig(), policy.New(kind), "stream-eq", specs)
 			run, err := m.Run()
 			if err != nil {
 				t.Fatal(err)

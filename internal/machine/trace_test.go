@@ -1,4 +1,4 @@
-package machine
+package machine_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"itsim/internal/fault"
+	"itsim/internal/machine"
 	"itsim/internal/obs"
 	"itsim/internal/policy"
 	"itsim/internal/sim"
@@ -20,11 +21,11 @@ func tracedRun(t *testing.T, batchIdx int, kind policy.Kind, sink obs.Sink, gaug
 	t.Helper()
 	batch := workload.Batches()[batchIdx]
 	gens := batch.Generators(0.02)
-	specs := make([]ProcessSpec, len(gens))
+	specs := make([]machine.ProcessSpec, len(gens))
 	for j, g := range gens {
-		specs[j] = ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
+		specs[j] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
 	}
-	m := New(testConfig(), policy.New(kind), batch.Name, specs)
+	m := newMachine(t, testConfig(), policy.New(kind), batch.Name, specs)
 	m.Instrument(obs.NewTracer(sink, obs.Filter{}), gauge)
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("%s/%s: %v", kind, batch.Name, err)
@@ -173,16 +174,16 @@ func TestAuditorPassesAllPoliciesAllBatches(t *testing.T) {
 			batch, kind := batch, kind
 			t.Run(batch.Name+"/"+kind.String(), func(t *testing.T) {
 				gens := batch.Generators(0.02)
-				specs := make([]ProcessSpec, len(gens))
+				specs := make([]machine.ProcessSpec, len(gens))
 				for j, g := range gens {
-					specs[j] = ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
+					specs[j] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
 				}
-				m := New(testConfig(), policy.New(kind), batch.Name, specs)
+				m := newMachine(t, testConfig(), policy.New(kind), batch.Name, specs)
 				run, err := m.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
-				aud := m.Auditor()
+				aud := m.Auditors()[0]
 				if aud.Events() == 0 {
 					t.Fatal("auditor observed no events")
 				}
@@ -247,14 +248,14 @@ func TestGaugeSampling(t *testing.T) {
 func TestFaultEventsTraced(t *testing.T) {
 	batch := workload.Batches()[2]
 	gens := batch.Generators(0.02)
-	specs := make([]ProcessSpec, len(gens))
+	specs := make([]machine.ProcessSpec, len(gens))
 	for j, g := range gens {
-		specs[j] = ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
+		specs[j] = machine.ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
 	}
 	cfg := testConfig()
 	cfg.Fault = fault.Config{Seed: 42, TailProb: 0.2, TailMult: 16, StallProb: 0.01, DMAFailProb: 0.05}
 	cfg.SpinBudget = 4 * sim.Microsecond
-	m := New(cfg, policy.NewITS(policy.ITSConfig{PrefetchThrottleFraction: 0.1}), batch.Name, specs)
+	m := newMachine(t, cfg, policy.NewITS(policy.ITSConfig{PrefetchThrottleFraction: 0.1}), batch.Name, specs)
 	ring := obs.NewRing(1 << 20)
 	m.Instrument(obs.NewTracer(ring, obs.Filter{}), 0)
 	if _, err := m.Run(); err != nil {

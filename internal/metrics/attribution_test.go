@@ -56,28 +56,25 @@ func TestCheckAttributionParkedCore(t *testing.T) {
 	}
 }
 
+// A one-core summary carries a one-entry per-core section and reconciles
+// like any other; a summary without that section (written before one-core
+// runs kept a per-core ledger) is refused with a pointer to regenerate it.
 func TestCheckAttributionSingleCore(t *testing.T) {
 	s := &Summary{
 		MakespanNs:      400,
 		SchedulerIdleNs: 90,
-		Procs: []*Process{
-			{PID: 0, CPUTime: 100},
-			{PID: 1, CPUTime: 190},
-		},
+		Cores:           []*Core{{ID: 0, LocalClock: 400, CPUTime: 290, SchedulerIdle: 90, ContextSwitchTime: 20}},
 	}
 	good := []CoreAttribution{{Core: 0, CPUTime: 290, SchedulerIdle: 90, ContextSwitchTime: 20}}
 	if err := s.CheckAttribution(good); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CheckAttribution(nil); err == nil {
-		t.Fatal("empty attribution accepted on single-core summary")
-	}
 	bad := []CoreAttribution{{Core: 0, CPUTime: 291, SchedulerIdle: 90, ContextSwitchTime: 20}}
-	if err := s.CheckAttribution(bad); err == nil || !strings.Contains(err.Error(), "CPU occupancy") {
+	if err := s.CheckAttribution(bad); err == nil || !strings.Contains(err.Error(), "core 0") {
 		t.Fatalf("CPU drift not caught: %v", err)
 	}
-	tot := []CoreAttribution{{Core: 0, CPUTime: 290, SchedulerIdle: 90, ContextSwitchTime: 21}}
-	if err := s.CheckAttribution(tot); err == nil || !strings.Contains(err.Error(), "makespan") {
-		t.Fatalf("total drift not caught: %v", err)
+	s.Cores = nil
+	if err := s.CheckAttribution(good); err == nil || !strings.Contains(err.Error(), "regenerate") {
+		t.Fatalf("summary without a per-core section accepted: %v", err)
 	}
 }

@@ -108,9 +108,8 @@ type Process struct {
 // un-stolen storage busy-wait).
 func (p *Process) IdleTime() sim.Time { return p.MemStall + p.StorageWait }
 
-// Core accumulates per-core counters of a multi-core run. On a single-core
-// machine the slice is absent (legacy path) or holds one entry whose fields
-// mirror the Run-level aggregates.
+// Core accumulates per-core counters of a run. On a one-core machine the
+// single entry's fields mirror the Run-level aggregates.
 //
 //itslint:frozen
 type Core struct {
@@ -159,9 +158,9 @@ type Run struct {
 
 	Procs []*Process
 
-	// Cores holds per-core counters on a multi-core machine; nil on the
-	// legacy single-core path. Run-level time fields (SchedulerIdle,
-	// ContextSwitchTime) aggregate over cores as CPU-seconds.
+	// Cores holds per-core counters, one entry per simulated core.
+	// Run-level time fields (SchedulerIdle, ContextSwitchTime) aggregate
+	// over cores as CPU-seconds.
 	Cores []*Core
 
 	// Makespan is the finish time of the last process.

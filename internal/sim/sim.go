@@ -1,8 +1,8 @@
 // Package sim provides the deterministic discrete-event core of the
 // simulator: a virtual nanosecond clock and a calendar-queue event core.
 //
-// The machine model (internal/machine) advances the clock directly while the
-// simulated CPU executes a trace, and schedules future work — DMA
+// The machine model (internal/exec, run by internal/smp) advances the clock
+// directly while the simulated CPU executes a trace, and schedules future work — DMA
 // completions, asynchronous I/O completions, prefetch arrivals — as events.
 // Events scheduled for the same instant fire in scheduling order (FIFO),
 // which keeps runs reproducible.
@@ -22,7 +22,7 @@
 //
 // The tie-break order is load-bearing and frozen: events with equal At fire
 // strictly in scheduling order (ascending seq). Every determinism anchor of
-// the repository — machine⇔1-core-SMP equivalence, seeded-fault repeats,
+// the repository — the pinned one-core summary digests, seeded-fault repeats,
 // `itsbench diff` at zero tolerance — depends on same-time completions,
 // wake-ups and trace emissions interleaving exactly this way. Equal-At
 // events always share a bucket (same day), where they sit in seq order, so

@@ -44,7 +44,7 @@ func TestFaultDeterminism(t *testing.T) {
 		if r.Injection.TailSpikes == 0 && r.Injection.ChannelStalls == 0 && r.Injection.DMAFailures == 0 {
 			t.Fatalf("no faults delivered: %+v", r.Injection)
 		}
-		return summaryJSON(t, r, false)
+		return summaryJSON(t, r)
 	}
 	for _, cores := range []int{1, 4} {
 		if a, b := run(cores), run(cores); a != b {
@@ -53,33 +53,17 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 }
 
-// The fault layer preserves the engine-unification guarantee: the legacy
-// single-core machine and a 1-core SMP run agree byte-for-byte under the
-// same fault schedule, for every policy kind.
+// The fault layer preserves the degeneracy guarantee: a 1-core SMP run
+// reproduces the single-core machine's summary byte-for-byte under the same
+// fault schedule, for every policy kind.
 func TestFaultEquivalence(t *testing.T) {
-	for _, kind := range policy.Kinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := faultyConfig(1)
-			legacy := machine.New(cfg, factory(kind)(), "2_Data_Intensive", testSpecs(t, 0.02))
-			wantRun, err := legacy.Run()
-			if err != nil {
-				t.Fatalf("machine run: %v", err)
-			}
-			m, err := smp.New(cfg, factory(kind), "2_Data_Intensive", testSpecs(t, 0.02))
-			if err != nil {
-				t.Fatalf("smp.New: %v", err)
-			}
-			gotRun, err := m.Run()
-			if err != nil {
-				t.Fatalf("smp run: %v", err)
-			}
-			want := summaryJSON(t, wantRun, true)
-			got := summaryJSON(t, gotRun, true)
-			if got != want {
-				t.Errorf("1-core SMP diverged from the machine under faults\n got: %s\nwant: %s", got, want)
-			}
-		})
-	}
+	checkMachineDigest(t, faultyConfig(1), map[string]string{
+		"Async":         "507c479cb325338b39aa0faf8fa989733bb81e487dbacaf9958b7744d9648cfb",
+		"Sync":          "eba140d1e4cca0ae6f7f065f4f669ba67472e872c39e0fe40d051e80886421fc",
+		"Sync_Runahead": "4b39920f0753eec1cb29d175892dd617bbb5d66daa589c9b0825e1c420cab784",
+		"Sync_Prefetch": "969e3a8d02314551ec64974c6d33ec145e55886b0f89762d5810cbded3e44c35",
+		"ITS":           "9e3fe6af0b2fefb3dbc98461e7ae4956b512d59f9c45a0ad6b03169046ca494f",
+	})
 }
 
 // Per-core time conservation must hold exactly under any fault schedule:
@@ -202,7 +186,7 @@ func TestZeroFaultConfigIsInert(t *testing.T) {
 		if r.Injection != nil {
 			t.Fatalf("fault-free run has injection stats: %+v", r.Injection)
 		}
-		return summaryJSON(t, r, false)
+		return summaryJSON(t, r)
 	}
 	zeroed := func() string {
 		cfg := testConfig(2)
@@ -215,7 +199,7 @@ func TestZeroFaultConfigIsInert(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return summaryJSON(t, r, false)
+		return summaryJSON(t, r)
 	}
 	if a, b := baseline(), zeroed(); a != b {
 		t.Errorf("zero-probability fault config changed the summary\n base: %s\nfault: %s", a, b)

@@ -6,10 +6,10 @@
 // core at once.
 //
 // The per-record executor — dispatch, fault windows, prefetch,
-// pre-execution, swap-in management — lives in internal/exec and is shared
-// verbatim with the single-core machine; this package contributes only what
-// is inherently multi-core: the bounded-skew coordinator, work stealing,
-// and the pendingIO re-homing a steal requires.
+// pre-execution, swap-in management — lives in internal/exec, one exec.Core
+// per simulated core; this package contributes the run loop: the
+// bounded-skew coordinator, work stealing, and the pendingIO re-homing a
+// steal requires.
 //
 // Each core advances on its own sim.Engine clock; a deterministic
 // coordinator repeatedly picks the core with the earliest next-event time
@@ -24,20 +24,18 @@
 // Work-stealing-aware dispatch: an idle core pulls a Ready process from a
 // loaded core's runqueue (victim scan order (id+1)%N, so the choice is
 // deterministic), paying one context-switch cost for the migration. This is
-// the new ITS scenario the single-core machine cannot express: a
-// high-priority process keeps busy-waiting on its core while its
-// low-priority victim migrates to the idle core instead of blocking.
+// the ITS scenario a single core cannot express: a high-priority process
+// keeps busy-waiting on its core while its low-priority victim migrates to
+// the idle core instead of blocking.
 //
-// With Cores=1 the coordinator degenerates exactly to the single-core
-// machine loop and produces identical metrics on the same seed — not by
-// careful porting but structurally, because both instantiate the same
-// exec.Core.
+// With Cores=1 (the paper's §4.1 platform) there is nothing to steal and no
+// other core to yield to, so the coordinator reduces to a plain dispatch
+// loop; every single-machine run in the repository goes through it.
 package smp
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"itsim/internal/cache"
 	"itsim/internal/exec"
@@ -48,9 +46,6 @@ import (
 	"itsim/internal/policy"
 	"itsim/internal/sim"
 )
-
-// never is the parked-core sentinel: no local work at any future time.
-const never = sim.Time(math.MaxInt64)
 
 // Machine is the N-core platform executing one batch under one policy: a
 // shared exec platform plus the coordinator state in this package.
@@ -81,7 +76,7 @@ func New(cfg machine.Config, newPolicy func() policy.Policy, batchName string, s
 			return nil, errors.New("smp: policy factory returned nil")
 		}
 	}
-	s, err := exec.NewShared(cfg, pols, batchName, specs, true)
+	s, err := exec.NewShared(cfg, pols, batchName, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -176,8 +171,8 @@ func (m *Machine) Run() (*metrics.Run, error) {
 		// scan runs once per coordinator step (roughly once per
 		// record when every core is busy), so it is kept to a single
 		// walk — nextTime scans for steal candidates and is not free.
-		best, bestT := -1, never
-		horizon := never
+		best, bestT := -1, exec.Never
+		horizon := exec.Never
 		for i, c := range s.Cores {
 			t, ok := m.nextTime(c)
 			if !ok {
