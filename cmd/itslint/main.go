@@ -1,9 +1,9 @@
 // Command itslint is the simulator's determinism lint suite: a go vet
-// -vettool multichecker bundling the seven custom analyzers of
-// internal/analysis — simdeterminism, gospawn, vtime, eventsink,
-// entropyflow, seedflow and schemafreeze — that machine-check the
-// invariants every figure in this repository rests on (same seed ⇒
-// byte-identical summaries; see docs/LINTS.md).
+// -vettool multichecker bundling the five custom analyzers of
+// internal/analysis — entropyflow, gospawn, vtime, seedflow and
+// schemafreeze — that machine-check the invariants every figure in this
+// repository rests on (same seed ⇒ byte-identical summaries; see
+// docs/LINTS.md).
 //
 // Four modes:
 //
@@ -40,22 +40,18 @@ import (
 	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"itsim/internal/analysis/entropyflow"
-	"itsim/internal/analysis/eventsink"
 	"itsim/internal/analysis/gospawn"
 	"itsim/internal/analysis/schemafreeze"
 	"itsim/internal/analysis/seedflow"
-	"itsim/internal/analysis/simdeterminism"
 	"itsim/internal/analysis/vtime"
 )
 
 // analyzers is the suite, in docs/LINTS.md order. The slice feeds both the
 // unitchecker registration and the SARIF rule table.
 var analyzers = []*analysis.Analyzer{
-	simdeterminism.Analyzer,
+	entropyflow.Analyzer,
 	gospawn.Analyzer,
 	vtime.Analyzer,
-	eventsink.Analyzer,
-	entropyflow.Analyzer,
 	seedflow.Analyzer,
 	schemafreeze.Analyzer,
 }
@@ -67,7 +63,7 @@ func main() {
 	// suppression summary and the freeze capture are append-only side
 	// channels the cache knows nothing about, and a cache hit would silently
 	// drop that package's records.
-	simdeterminism.Analyzer.Flags.String("nonce", "",
+	entropyflow.Analyzer.Flags.String("nonce", "",
 		"no-op value; drivers pass a fresh one to defeat go vet's result cache")
 
 	if len(os.Args) > 1 {

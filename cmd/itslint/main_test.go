@@ -45,8 +45,8 @@ func TestRunMode(t *testing.T) {
 	if !strings.Contains(out, "suppressed by //itslint:allow") {
 		t.Errorf("summary line missing from output:\n%s", out)
 	}
-	if !strings.Contains(out, "simdeterminism=2") {
-		t.Errorf("expected simdeterminism=2 suppressions in summary, got:\n%s", out)
+	if !strings.Contains(out, "entropyflow=2") {
+		t.Errorf("expected entropyflow=2 suppressions in summary, got:\n%s", out)
 	}
 }
 
@@ -180,8 +180,8 @@ func TestSarifFixBudget(t *testing.T) {
 	if log.Version != "2.1.0" || len(log.Runs) != 1 || log.Runs[0].Tool.Driver.Name != "itslint" {
 		t.Fatalf("malformed SARIF envelope:\n%s", stdout)
 	}
-	if len(log.Runs[0].Tool.Driver.Rules) < 7 {
-		t.Errorf("rule table should list the whole suite, got %d rules", len(log.Runs[0].Tool.Driver.Rules))
+	if len(log.Runs[0].Tool.Driver.Rules) != 5 {
+		t.Errorf("rule table should list the whole five-analyzer suite, got %d rules", len(log.Runs[0].Tool.Driver.Rules))
 	}
 	found := false
 	for _, r := range log.Runs[0].Results {

@@ -49,7 +49,7 @@ type jsonDiagnostic struct {
 // nonceArg mints the cache-busting flag for one driver invocation (see the
 // comment in main).
 func nonceArg() string {
-	return fmt.Sprintf("-simdeterminism.nonce=%d.%d", os.Getpid(), time.Now().UnixNano())
+	return fmt.Sprintf("-entropyflow.nonce=%d.%d", os.Getpid(), time.Now().UnixNano())
 }
 
 // vetJSON drives `go vet -json -vettool=<self>` over pkgs and parses the

@@ -1,15 +1,21 @@
-// Package entropyflow is a fact-based interprocedural taint analysis that
-// proves nondeterminism cannot reach sim-visible state. simdeterminism bans
-// entropy *sources* syntactically inside the deterministic package set; this
-// pass tracks their *values* — through assignments, conversions, builtins
-// and (via exported facts) across package boundaries — until they hit a
-// determinism-critical sink: an event-queue insertion key, an obs.Event
-// field, a metrics summary field, or a PRNG seed.
+// Package entropyflow keeps nondeterminism out of the simulator's
+// deterministic package set in two modes.
 //
-// The threat it closes is laundering: a helper package outside the
-// deterministic set may legally range over a map or read the clock, but the
-// moment its return value keys an event or seeds a stream inside the set,
-// two identically-seeded runs diverge. The analysis follows the modular
+// The source ban is syntactic: inside the set, a wall-clock read, a global
+// math/rand draw, an environment read or a range over a map is reported at
+// the point of use, whether or not its value reaches a sink. It catches
+// what value tracking cannot see — a map range whose order leaks through
+// control flow or append order, a clock read that only steers a branch.
+//
+// The flow check is a fact-based interprocedural taint analysis that
+// proves laundered nondeterminism cannot reach sim-visible state. It tracks
+// source *values* — through assignments, conversions, builtins and (via
+// exported facts) across package boundaries — until they hit a
+// determinism-critical sink: an event-queue insertion key, an obs.Event
+// field, a metrics summary field, or a PRNG seed. A helper package outside
+// the set may legally range over a map or read the clock, but the moment
+// its return value keys an event or seeds a stream inside the set, two
+// identically-seeded runs diverge. The analysis follows the modular
 // printf-wrapper style of go/analysis: each function exports facts
 // (ReturnsEntropy, ParamEscapesToSink, SeedsRNG) that the vet driver
 // serializes between compilation units, so the fixpoint spans the whole
@@ -17,16 +23,19 @@
 //
 // Taint sources:
 //   - calls to the itslint.EntropySources table (time.Now, global math/rand,
-//     os env — shared with simdeterminism),
+//     os env — the source ban's table too),
 //   - map iteration order (range over a map taints the key and value),
 //   - select arrival order (a comm-clause receive taints its binding),
 //   - unsafe.Pointer/uintptr conversions of pointers (address-space layout),
 //   - calls to functions carrying a ReturnsEntropy fact.
 //
 // Sanitizers: sort.* / slices.Sort* calls cleanse their argument, and a
-// justified //itslint:allow on a source line sanitizes that source without
-// counting a suppression (the directive is simdeterminism's to arbitrate —
-// one annotation, one budget entry).
+// justified //itslint:allow on a source line sanitizes that source. The
+// directive is counted once, by the source ban's report — one annotation,
+// one budget entry.
+//
+// The pass also owns directive hygiene for every package: an
+// //itslint:allow without a reason is reported wherever it appears.
 package entropyflow
 
 import (
@@ -45,8 +54,9 @@ import (
 // Analyzer is the entropyflow pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "entropyflow",
-	Doc: "track nondeterministic values interprocedurally and forbid them from reaching " +
-		"event-queue keys, obs events, metrics summaries or PRNG seeds in the deterministic packages",
+	Doc: "forbid wall-clock time, global math/rand, environment reads and map iteration in the " +
+		"simulator's deterministic packages, and track nondeterministic values interprocedurally into " +
+		"event-queue keys, obs events, metrics summaries or PRNG seeds (suppress with //itslint:allow <reason>)",
 	Run: run,
 	FactTypes: []analysis.Fact{
 		(*ReturnsEntropy)(nil),
@@ -90,6 +100,7 @@ func (f *SeedsRNG) String() string { return fmt.Sprintf("SeedsRNG(%v)", f.Params
 const rngSeedSink = "PRNG seed"
 
 func run(pass *analysis.Pass) (any, error) {
+	itslint.CheckDirectives(pass)
 	al := itslint.Scan(pass)
 	det := itslint.Deterministic(pass.Pkg.Path())
 
@@ -97,6 +108,9 @@ func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
 		if itslint.IsTestFile(pass, f.Pos()) {
 			continue
+		}
+		if det {
+			banSources(pass, al, f)
 		}
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -125,6 +139,37 @@ func run(pass *analysis.Pass) (any, error) {
 	}
 	al.Flush("entropyflow")
 	return nil, nil
+}
+
+// banSources reports every direct entropy source in f: calls into the
+// itslint.EntropySources table and ranges over a map. Only package-level
+// functions are sources — a seeded *rand.Rand method draw is deterministic,
+// the global source is not. Order-insensitive map folds carry a justified
+// //itslint:allow.
+func banSources(pass *analysis.Pass, al *itslint.Allows, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			fn := calleeFunc(pass, n)
+			if why, banned := itslint.EntropySource(fn); banned {
+				al.Report(n.Pos(),
+					"call to %s.%s in deterministic package %s: %s breaks bit-exact replay",
+					fn.Pkg().Path(), fn.Name(), pass.Pkg.Path(), why)
+			}
+		case *ast.RangeStmt:
+			tv, ok := pass.TypesInfo.Types[n.X]
+			if !ok {
+				break
+			}
+			if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+				al.Report(n.Pos(),
+					"range over map %s in deterministic package %s: iteration order is randomized per run; "+
+						"iterate sorted keys (or annotate an order-insensitive fold with //itslint:allow <reason>)",
+					tv.Type.String(), pass.Pkg.Path())
+			}
+		}
+		return true
+	})
 }
 
 // taintVal describes why a value is suspect: Why names the entropy class it

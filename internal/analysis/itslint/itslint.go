@@ -4,10 +4,10 @@
 // accounting the `itslint run` multichecker aggregates into its summary.
 //
 // Every result this repository reports rests on bit-exact determinism: the
-// same seed must produce byte-identical summaries across repeats, across
-// machine-vs-1-core-SMP, and under any fault schedule. The analyzers in
-// internal/analysis/... machine-check the coding discipline that property
-// depends on; this package keeps their shared conventions in one place.
+// same seed must produce byte-identical summaries across repeats and under
+// any fault schedule. The analyzers in internal/analysis/... machine-check
+// the coding discipline that property depends on; this package keeps their
+// shared conventions in one place.
 package itslint
 
 import (
@@ -66,11 +66,11 @@ func IsTestFile(pass *analysis.Pass, pos token.Pos) bool {
 }
 
 // EntropySources maps package path → function name → the nondeterminism
-// class a call introduces. It is the single source table shared by
-// simdeterminism (which bans the calls outright in the deterministic set)
-// and entropyflow (which treats their results as taint everywhere, so a
-// wall-clock read or global-rand draw laundered through a helper package
-// is still caught when it reaches sim-visible state).
+// class a call introduces. entropyflow uses it twice: its source ban
+// reports the calls outright in the deterministic set, and its flow check
+// treats their results as taint everywhere, so a wall-clock read or
+// global-rand draw laundered through a helper package is still caught when
+// it reaches sim-visible state.
 var EntropySources = map[string]map[string]string{
 	"time": {
 		"Now":   "wall-clock read",
@@ -253,9 +253,9 @@ func (al *Allows) allowed(pos token.Pos) *Directive {
 }
 
 // Sanctioned reports whether a justified allow directive covers pos,
-// WITHOUT counting a suppression. entropyflow uses it to sanitize taint at
-// source sites (a map range simdeterminism already arbitrates), so one
-// directive is not double-counted against two analyzers' budgets.
+// WITHOUT counting a suppression. entropyflow's flow check uses it to
+// sanitize taint at source sites its source ban already arbitrates, so one
+// directive is counted once.
 func (al *Allows) Sanctioned(pos token.Pos) bool { return al.allowed(pos) != nil }
 
 // Report files the diagnostic unless a justified //itslint:allow directive
@@ -310,9 +310,12 @@ func AppendSummary(analyzer, pkg string, n int) {
 
 // ParseSummary aggregates the summary file's records into per-analyzer
 // totals and a grand total. Malformed lines are ignored (a crashed worker
-// may truncate its record).
+// may truncate its record). go vet can analyze one package more than once
+// — a fact-producing analyzer also runs in the facts-only pass vet makes
+// over every dependency — and each visit appends a record, so repeated
+// (analyzer, package) records count once, at their largest value.
 func ParseSummary(data []byte) (perAnalyzer map[string]int, total int) {
-	perAnalyzer = make(map[string]int)
+	perPkg := make(map[[2]string]int)
 	for _, line := range strings.Split(string(data), "\n") {
 		parts := strings.Split(line, "\t")
 		if len(parts) != 3 {
@@ -322,7 +325,12 @@ func ParseSummary(data []byte) (perAnalyzer map[string]int, total int) {
 		if err != nil || n <= 0 {
 			continue
 		}
-		perAnalyzer[parts[0]] += n
+		key := [2]string{parts[0], parts[1]}
+		perPkg[key] = max(perPkg[key], n)
+	}
+	perAnalyzer = make(map[string]int)
+	for key, n := range perPkg {
+		perAnalyzer[key[0]] += n
 		total += n
 	}
 	return perAnalyzer, total
@@ -331,7 +339,7 @@ func ParseSummary(data []byte) (perAnalyzer map[string]int, total int) {
 // FormatSummary renders the aggregated suppression counts as the one-line
 // multichecker summary, e.g.
 //
-//	itslint: 3 findings suppressed by //itslint:allow (gospawn=1, simdeterminism=2)
+//	itslint: 3 findings suppressed by //itslint:allow (entropyflow=2, gospawn=1)
 func FormatSummary(perAnalyzer map[string]int, total int) string {
 	if total == 0 {
 		return "itslint: clean, no //itslint:allow suppressions"
@@ -396,7 +404,7 @@ func CheckBudget(perAnalyzer, budget map[string]int) []string {
 
 // CheckDirectives reports every //itslint:allow directive with an empty
 // reason: a suppression without a justification is itself a violation.
-// Exactly one analyzer (simdeterminism, which runs on every package) calls
+// Exactly one analyzer (entropyflow, which runs on every package) calls
 // this, so each bad directive is reported once.
 func CheckDirectives(pass *analysis.Pass) {
 	for _, d := range Directives(pass) {
@@ -407,14 +415,4 @@ func CheckDirectives(pass *analysis.Pass) {
 			})
 		}
 	}
-}
-
-// EnclosingFuncName returns the name of the innermost function declaration
-// containing the node path produced by walking with WithStack-style
-// traversal; helpers for analyzers that allowlist by function.
-func EnclosingFuncName(decl *ast.FuncDecl) string {
-	if decl == nil || decl.Name == nil {
-		return ""
-	}
-	return decl.Name.Name
 }

@@ -7,11 +7,11 @@ import (
 	"testing"
 
 	"itsim/internal/analysis/atest"
+	"itsim/internal/analysis/entropyflow"
 	"itsim/internal/analysis/itslint"
-	"itsim/internal/analysis/simdeterminism"
 )
 
-// TestDirectiveMachinery drives the storage fixture through simdeterminism
+// TestDirectiveMachinery drives the storage fixture through entropyflow
 // (the analyzer that owns directive validation) and asserts the three
 // directive behaviours programmatically: a justified allow suppresses and
 // is counted, an empty-reason allow is reported and does NOT suppress, and
@@ -20,7 +20,7 @@ func TestDirectiveMachinery(t *testing.T) {
 	summary := filepath.Join(t.TempDir(), "summary")
 	t.Setenv(itslint.SummaryEnv, summary)
 
-	diags := atest.RunResult(t, "../testdata", simdeterminism.Analyzer, "itsim/internal/storage")
+	diags := atest.RunResult(t, "../testdata", entropyflow.Analyzer, "itsim/internal/storage")
 
 	var emptyReason, mapRange int
 	for _, d := range diags {
@@ -49,8 +49,8 @@ func TestDirectiveMachinery(t *testing.T) {
 		t.Fatalf("summary file not written: %v", err)
 	}
 	per, total := itslint.ParseSummary(data)
-	if total != 1 || per["simdeterminism"] != 1 {
-		t.Errorf("ParseSummary = %v (total %d), want simdeterminism=1", per, total)
+	if total != 1 || per["entropyflow"] != 1 {
+		t.Errorf("ParseSummary = %v (total %d), want entropyflow=1", per, total)
 	}
 }
 
@@ -70,9 +70,11 @@ func TestDeterministic(t *testing.T) {
 
 func TestParseSummary(t *testing.T) {
 	data := []byte(strings.Join([]string{
-		"simdeterminism\titsim/internal/sched\t3",
+		"entropyflow\titsim/internal/sched\t3",
 		"gospawn\titsim/internal/core\t1",
-		"simdeterminism\titsim/internal/obs\t2",
+		"entropyflow\titsim/internal/obs\t2",
+		// A second visit to one package (vet's facts-only pass) counts once.
+		"entropyflow\titsim/internal/sched\t3",
 		"truncated line without tabs",
 		"vtime\titsim/internal/exec\tnot-a-number",
 		"vtime\titsim/internal/exec\t-4",
@@ -82,8 +84,8 @@ func TestParseSummary(t *testing.T) {
 	if total != 6 {
 		t.Errorf("total = %d, want 6", total)
 	}
-	if per["simdeterminism"] != 5 || per["gospawn"] != 1 || per["vtime"] != 0 {
-		t.Errorf("per-analyzer = %v, want simdeterminism=5 gospawn=1", per)
+	if per["entropyflow"] != 5 || per["gospawn"] != 1 || per["vtime"] != 0 {
+		t.Errorf("per-analyzer = %v, want entropyflow=5 gospawn=1", per)
 	}
 }
 
@@ -91,8 +93,8 @@ func TestFormatSummary(t *testing.T) {
 	if got := itslint.FormatSummary(map[string]int{}, 0); !strings.Contains(got, "clean") {
 		t.Errorf("empty summary = %q, want a clean message", got)
 	}
-	got := itslint.FormatSummary(map[string]int{"simdeterminism": 2, "gospawn": 1}, 3)
-	want := "itslint: 3 findings suppressed by //itslint:allow (gospawn=1, simdeterminism=2)"
+	got := itslint.FormatSummary(map[string]int{"entropyflow": 2, "gospawn": 1}, 3)
+	want := "itslint: 3 findings suppressed by //itslint:allow (entropyflow=2, gospawn=1)"
 	if got != want {
 		t.Errorf("FormatSummary = %q, want %q", got, want)
 	}
@@ -107,15 +109,15 @@ func TestAppendSummary(t *testing.T) {
 	summary := filepath.Join(t.TempDir(), "summary")
 	t.Setenv(itslint.SummaryEnv, summary)
 	itslint.AppendSummary("gospawn", "itsim/internal/core", 1)
-	itslint.AppendSummary("simdeterminism", "itsim/internal/sched", 3)
-	itslint.AppendSummary("simdeterminism", "itsim/internal/obs", 0) // zero: dropped
+	itslint.AppendSummary("entropyflow", "itsim/internal/sched", 3)
+	itslint.AppendSummary("entropyflow", "itsim/internal/obs", 0) // zero: dropped
 	data, err := os.ReadFile(summary)
 	if err != nil {
 		t.Fatalf("summary file not written: %v", err)
 	}
 	per, total := itslint.ParseSummary(data)
-	if total != 4 || per["gospawn"] != 1 || per["simdeterminism"] != 3 {
-		t.Errorf("round-trip = %v (total %d), want gospawn=1 simdeterminism=3", per, total)
+	if total != 4 || per["gospawn"] != 1 || per["entropyflow"] != 3 {
+		t.Errorf("round-trip = %v (total %d), want gospawn=1 entropyflow=3", per, total)
 	}
 
 	t.Setenv(itslint.SummaryEnv, "")

@@ -1,16 +1,25 @@
-// Package schemafreeze gives the serialized-summary schemas a layout-drift
-// gate: an exported struct whose type declaration carries //itslint:frozen
-// has its layout — field names, types, order and JSON tags — compared
-// against the committed baseline in internal/analysis/testdata/frozen.json.
-// Any drift (a field added, removed, renamed, retyped, reordered or
-// retagged) without regenerating the baseline fails the lint, so schema
-// changes to Summary, FleetSummary and friends are always a reviewed diff
-// of frozen.json, never an accident. eventsink's omitempty rule protects
-// the byte layout of old baselines; this pass protects the schema itself.
+// Package schemafreeze guards the simulator's output schemas, the layouts
+// `itsbench diff`, committed baseline documents and the CI determinism
+// smokes compare against. It has two halves.
 //
-// Regenerate with `itslint freeze`: it drives the analyzer in freeze mode
-// (-schemafreeze.freeze=<file>, each vet worker appends its package's
-// records) and rewrites the baseline sorted.
+// Summary layout: an exported struct whose type declaration carries
+// //itslint:frozen has its layout — field names, types, order and JSON
+// tags — compared against the committed baseline in
+// internal/analysis/testdata/frozen.json. Any drift (a field added,
+// removed, renamed, retyped, reordered or retagged) without regenerating
+// the baseline fails the lint, so schema changes to Summary, FleetSummary
+// and friends are always a reviewed diff of frozen.json, never an accident.
+// The drift report also names every added field that would change the
+// bytes of existing documents — an exported field whose JSON tag has
+// neither omitempty nor "-" — because such a field shows up in every run's
+// output, not only in runs that exercise the new feature.
+//
+// Event vocabulary: every switch over the obs event type in a sink or a
+// trace consumer must handle every kind or default explicitly (events.go).
+//
+// Regenerate the baseline with `itslint freeze`: it drives the analyzer in
+// freeze mode (-schemafreeze.freeze=<file>, each vet worker appends its
+// package's records) and rewrites the baseline sorted.
 package schemafreeze
 
 import (
@@ -22,6 +31,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -33,7 +43,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "schemafreeze",
 	Doc: "compare //itslint:frozen struct layouts (field names, types, order, JSON tags) " +
-		"against the committed frozen.json baseline; regenerate with `itslint freeze`",
+		"against the committed frozen.json baseline (regenerate with `itslint freeze`), and require " +
+		"obs sinks and trace consumers to handle (or explicitly default) every event kind",
 	Run: run,
 }
 
@@ -64,38 +75,64 @@ type Record struct {
 
 func run(pass *analysis.Pass) (any, error) {
 	recs := collect(pass)
-	if len(recs) == 0 {
-		return nil, nil
+	if freezeFlag != "" {
+		return nil, appendRecords(freezeFlag, recs)
 	}
-	if freezePath := freezeFlag; freezePath != "" {
-		return nil, appendRecords(freezePath, recs)
+	checkEvents(pass)
+	return nil, checkLayouts(pass, recs)
+}
+
+// checkLayouts compares the package's frozen structs with the baseline.
+// Drift has no //itslint:allow escape: the escape is regenerating the
+// baseline.
+func checkLayouts(pass *analysis.Pass, recs []posRecord) error {
+	if len(recs) == 0 {
+		return nil
 	}
 	baseline, path, err := loadBaseline(pass, recs[0].pos)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	al := itslint.Scan(pass)
 	for _, r := range recs {
 		want, ok := baseline[r.Name]
 		switch {
 		case !ok:
-			al.Report(r.pos,
+			pass.Reportf(r.pos,
 				"frozen struct %s is not in the frozen-schema baseline %s: run `itslint freeze` and commit the result",
 				r.Name, path)
 		case want != r.Layout:
-			al.Report(r.pos,
-				"frozen struct %s drifted from the committed baseline: have [%s], baseline [%s]; "+
+			pass.Reportf(r.pos,
+				"frozen struct %s drifted from the committed baseline: have [%s], baseline [%s]%s; "+
 					"if the schema change is intended, run `itslint freeze` and commit the regenerated %s",
-				r.Name, r.Layout, want, path)
+				r.Name, r.Layout, want, bytesNote(r, want), path)
 		}
 	}
-	al.Flush("schemafreeze")
-	return nil, nil
+	return nil
 }
 
 type posRecord struct {
 	Record
 	pos token.Pos
+	// bare names the exported fields always present in the JSON output:
+	// tagged neither omitempty nor "-".
+	bare []string
+}
+
+// bytesNote names the bare fields missing from the baseline layout: each
+// changes the bytes of every serialized document, so it wants omitempty.
+func bytesNote(r posRecord, baseline string) string {
+	var added []string
+	for _, name := range r.bare {
+		if !strings.Contains("; "+baseline, "; "+name+" ") {
+			added = append(added, name)
+		}
+	}
+	if len(added) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("; new fields %s lack `json:\"…,omitempty\"` and would change the byte layout "+
+		"of every summary, invalidating committed baselines and `itsbench diff` documents",
+		strings.Join(added, ", "))
 }
 
 // collect returns the package's frozen-struct records in file order.
@@ -119,12 +156,11 @@ func collect(pass *analysis.Pass) []posRecord {
 				if !ok || !itslint.IsFrozen(gd.Doc, ts.Doc) {
 					continue
 				}
+				desc, bare := layout(pass, st)
 				out = append(out, posRecord{
-					Record: Record{
-						Name:   pass.Pkg.Path() + "." + ts.Name.Name,
-						Layout: Layout(pass, st),
-					},
-					pos: ts.Pos(),
+					Record: Record{Name: pass.Pkg.Path() + "." + ts.Name.Name, Layout: desc},
+					pos:    ts.Pos(),
+					bare:   bare,
 				})
 			}
 		}
@@ -132,26 +168,28 @@ func collect(pass *analysis.Pass) []posRecord {
 	return out
 }
 
-// Layout renders the canonical field descriptor: one `Name Type json:"tag"`
+// layout renders the canonical field descriptor: one `Name Type json:"tag"`
 // entry per field in declaration order, joined with "; ". Unexported fields
 // participate too — they shift the reflect-visible layout and gob wire
-// order even when encoding/json skips them.
-func Layout(pass *analysis.Pass, st *ast.StructType) string {
+// order even when encoding/json skips them. bare lists the exported fields
+// always present in the JSON output: tagged neither omitempty nor "-".
+func layout(pass *analysis.Pass, st *ast.StructType) (desc string, bare []string) {
 	var fields []string
 	for _, field := range st.Fields.List {
-		typ := pass.TypesInfo.TypeOf(field.Type)
 		typStr := "?"
-		if typ != nil {
+		if typ := pass.TypesInfo.TypeOf(field.Type); typ != nil {
 			typStr = typ.String()
 		}
-		tag := ""
+		tag, jt := "", ""
 		if field.Tag != nil {
-			if unq, err := unquoteTag(field.Tag.Value); err == nil {
-				if jt, ok := reflect.StructTag(unq).Lookup("json"); ok {
-					tag = fmt.Sprintf(" json:%q", jt)
+			if unq, err := strconv.Unquote(field.Tag.Value); err == nil {
+				if v, ok := reflect.StructTag(unq).Lookup("json"); ok {
+					jt, tag = v, fmt.Sprintf(" json:%q", v)
 				}
 			}
 		}
+		_, opts, _ := strings.Cut(jt, ",")
+		omitted := jt == "-" || strings.Contains(","+opts+",", ",omitempty,")
 		if len(field.Names) == 0 {
 			// Embedded field: the type is the name.
 			fields = append(fields, typStr+tag)
@@ -159,24 +197,12 @@ func Layout(pass *analysis.Pass, st *ast.StructType) string {
 		}
 		for _, name := range field.Names {
 			fields = append(fields, name.Name+" "+typStr+tag)
+			if name.IsExported() && !omitted {
+				bare = append(bare, name.Name)
+			}
 		}
 	}
-	return strings.Join(fields, "; ")
-}
-
-func unquoteTag(raw string) (string, error) {
-	if len(raw) >= 2 && (raw[0] == '`' || raw[0] == '"') {
-		var out string
-		_, err := fmt.Sscanf(raw, "%q", &out)
-		if err == nil {
-			return out, nil
-		}
-		if raw[0] == '`' {
-			return raw[1 : len(raw)-1], nil
-		}
-		return "", err
-	}
-	return raw, nil
+	return strings.Join(fields, "; "), bare
 }
 
 // appendRecords writes the package's records to the freeze capture file,

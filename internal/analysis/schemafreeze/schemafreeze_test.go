@@ -21,11 +21,23 @@ func setFlag(t *testing.T, name, value string) {
 
 // TestSchemaFreeze is the drift gate's both-polarity (and negative
 // acceptance) test: a frozen struct matching the baseline passes, a field
-// added without regenerating the baseline fails, an unregistered frozen
+// added without regenerating the baseline fails — with the byte-layout note
+// exactly when the added field lacks omitempty — an unregistered frozen
 // struct fails, and an unfrozen struct is ignored.
 func TestSchemaFreeze(t *testing.T) {
 	setFlag(t, "baseline", filepath.Join("..", "testdata", "frozen_fixture.json"))
 	atest.Run(t, "../testdata", schemafreeze.Analyzer, "itsim/internal/policy")
+}
+
+// TestEventExhaustiveness checks both scopes of the event-vocabulary rule
+// on their fixture packages: sink Write switches must handle every event
+// kind or default explicitly (itsim/internal/obs fixture), and
+// stream-consumer event switches — in any function — must be exhaustive or
+// explicitly defaulted (itsim/internal/replay and itsim/internal/cluster
+// fixtures).
+func TestEventExhaustiveness(t *testing.T) {
+	atest.Run(t, "../testdata", schemafreeze.Analyzer,
+		"itsim/internal/obs", "itsim/internal/replay", "itsim/internal/cluster")
 }
 
 // TestFreezeMode captures the fixture package's layouts and round-trips
@@ -51,6 +63,7 @@ func TestFreezeMode(t *testing.T) {
 	for _, name := range []string{
 		"itsim/internal/policy.Frozen",
 		"itsim/internal/policy.Drifted",
+		"itsim/internal/policy.Grown",
 		"itsim/internal/policy.Unregistered",
 	} {
 		if _, ok := baseline[name]; !ok {

@@ -1,5 +1,5 @@
 // Package chaos is the deterministic-set consumer fixture for entropyflow:
-// every function here is clean for simdeterminism (no direct map range,
+// every function here is clean for the source ban (no direct map range,
 // wall clock or global rand — a test asserts that), yet the leak variants
 // launder nondeterminism through the order→wrap helper chain or introduce
 // it via unsafe/select, and entropyflow must catch it at the sink.

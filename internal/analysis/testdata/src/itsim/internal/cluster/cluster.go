@@ -1,4 +1,4 @@
-// Fixture for the eventsink cluster-exhaustiveness rule: the fleet
+// Fixture for schemafreeze's cluster-exhaustiveness rule: the fleet
 // coordinator consumes the obs event stream like replay does, so any
 // switch over the obs event discriminator — in any function — must handle
 // every kind or default explicitly.

@@ -1,4 +1,4 @@
-// Fixture for the simdeterminism analyzer: this package path is in the
+// Fixture for entropyflow's source ban: this package path is in the
 // deterministic set, so every nondeterminism source below must be flagged
 // unless a justified //itslint:allow covers it.
 package kernel

@@ -1,40 +1,9 @@
-// Fixture for the eventsink summary-layout rule: fields added to the
-// serialized summary structs after the seed must carry omitempty (or an
-// explicit json:"-") so unexercised features keep the historical byte
-// layout committed baselines diff against.
+// Package metrics is a fixture stand-in for the real summary package: an
+// exported struct here is a metrics-summary sink for entropyflow.
 package metrics
 
-// Summary is the fixture copy of the serialized run summary. Policy is in
-// the frozen seed baseline; the other fields exercise the layout rule.
+// Summary is the fixture copy of the serialized run summary.
 type Summary struct {
-	Policy     string  `json:"policy"`
-	NewCounter uint64  `json:"new_counter"` // want `field Summary\.NewCounter is not in the seed summary layout`
-	NewGauge   float64 `json:"new_gauge,omitempty"`
-	Skipped    int     `json:"-"`
-	Untagged   bool    // want `field Summary\.Untagged is not in the seed summary layout`
-	hidden     int
-	Allowed    uint64 `json:"allowed_total"` //itslint:allow fixture-sanctioned layout change with a reason
-}
-
-// Core is also a tracked struct: ID is baseline, the addition is clean
-// because it carries omitempty.
-type Core struct {
-	ID        int    `json:"id"`
-	NewDetail uint64 `json:"new_detail,omitempty"`
-}
-
-// Other is not a tracked summary struct: layout-free.
-type Other struct {
-	Whatever int `json:"whatever"`
-}
-
-func use(s Summary) int { return s.hidden }
-
-// ChaosStats is tracked with its whole introduction-era field set frozen:
-// baseline fields need no omitempty, post-introduction growth does.
-type ChaosStats struct {
-	Crashes  uint64 `json:"crashes"`
-	Rehomed  uint64 `json:"rehomed"`
-	NewAxis  uint64 `json:"new_axis"` // want `field ChaosStats\.NewAxis is not in the seed summary layout`
-	NewAxis2 uint64 `json:"new_axis2,omitempty"`
+	Policy   string  `json:"policy"`
+	NewGauge float64 `json:"new_gauge,omitempty"`
 }

@@ -1,4 +1,4 @@
-// Fixture for the eventsink sink-exhaustiveness rule: every switch over the
+// Fixture for schemafreeze's sink-exhaustiveness rule: every switch over the
 // event discriminator inside a sink's Write method must either handle every
 // kind or carry an explicit default.
 package obs

@@ -1,4 +1,4 @@
-// Fixture for the eventsink replay-exhaustiveness rule: in the replay
+// Fixture for schemafreeze's replay-exhaustiveness rule: in the replay
 // package any switch over the obs event discriminator — in any function,
 // not just Write methods — must handle every kind or default explicitly.
 package replay

@@ -2,7 +2,7 @@ package sim
 
 // Engine is the fixture event queue: the Schedule family's first argument
 // is the insertion key entropyflow treats as a determinism-critical sink.
-// Pure declarations — clean for simdeterminism and vtime, which also run
+// Pure declarations — clean for the source ban and vtime, which also run
 // over this fixture package.
 type Engine struct {
 	now Time

@@ -1,6 +1,6 @@
 // Package sim is a fixture stand-in for the real virtual-time package: the
-// Time type for the vtime analyzer, plus event-core-shaped code for the
-// simdeterminism analyzer — sim is in the deterministic set (the calendar
+// Time type for the vtime analyzer, plus event-core-shaped code for
+// entropyflow's source ban — sim is in the deterministic set (the calendar
 // queue's same-time ordering is the determinism anchor), so wall clocks and
 // map ranges here must be flagged while the pure bucket-array walk passes.
 package sim

@@ -1,4 +1,4 @@
-// Fixture for the simdeterminism analyzer on the workload package: the
+// Fixture for entropyflow's source ban on the workload package: the
 // open-loop arrival generators joined the deterministic set, so wall
 // clocks, global rand, env reads and map-order iteration are flagged
 // there like everywhere else in the simulator core.

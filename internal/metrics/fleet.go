@@ -1,9 +1,9 @@
 package metrics
 
-// Fleet-level summaries (internal/cluster). These are new serialized
-// structs, frozen in the eventsink lint's summaryBaseline like the
-// single-machine Summary: growing them later means omitempty or a
-// deliberate baseline extension.
+// Fleet-level summaries (internal/cluster). These serialized structs are
+// //itslint:frozen like the single-machine Summary: growing them later
+// means a regenerated frozen.json, with omitempty on every new field unless
+// breaking the byte layout of old documents is the point.
 
 // TenantStats digests one tenant's serving experience over a fleet run.
 //

@@ -162,7 +162,7 @@ func (a *Auditor) Write(ev Event) {
 		// (dispatch/occupancy/switch/idle); everything else — prefetch,
 		// swap, fault-injection, gauges — carries no CPU-time accounting
 		// and is deliberately ignored. The explicit default keeps the
-		// eventsink exhaustiveness lint honest: adding an event kind
+		// event-exhaustiveness lint honest: adding an event kind
 		// that SHOULD be audited means adding a case above, not relying
 		// on silent fallthrough.
 	}

@@ -153,7 +153,7 @@ func (e *coreEntry) proc(pid int, name string) *ProcAttr {
 }
 
 // fold consumes one event. The switch is exhaustive over every obs event
-// kind (enforced by the eventsink itslint pass): a new kind must be
+// kind (enforced by the schemafreeze itslint pass): a new kind must be
 // explicitly classified as interval-bearing or count-only.
 func (f *folder) fold(ev obs.Event) error {
 	if ev.Type == obs.EvRunBegin {
