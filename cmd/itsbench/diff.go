@@ -11,11 +11,11 @@ import (
 )
 
 // diffMain is the `itsbench diff` subcommand: it compares two -format json
-// documents and reports every metric that drifted beyond the tolerance —
-// the ROADMAP's regression check. Exit status: 0 when the documents agree,
-// 1 on drift, 2 on usage or read errors, 3 when the documents carry
-// mismatched nonzero schema versions (a layout change, not drift; an
-// unversioned pre-versioning document compares with anything).
+// documents and reports every metric whose value changed — the ROADMAP's
+// regression check, at zero tolerance. Exit status: 0 when the documents
+// agree, 1 on drift, 2 on usage or read errors, 3 when the documents carry
+// different schema versions (a layout change, not drift; an unversioned
+// document counts as version 0).
 //
 //	itsbench -exp all -format json > before.json
 //	# ...change the simulator...
@@ -24,12 +24,7 @@ import (
 func diffMain(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
-	tolerance := fs.Float64("tolerance", 0,
-		"maximum tolerated relative drift per metric (0 = exact match)")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: itsbench diff [-tolerance frac] old.json new.json")
-		fs.PrintDefaults()
-	}
+	fs.Usage = func() { fmt.Fprintln(os.Stderr, "usage: itsbench diff old.json new.json") }
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -47,15 +42,14 @@ func diffMain(args []string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "itsbench diff:", err)
 		return 2
 	}
-	if oldDoc.SchemaVersion != 0 && newDoc.SchemaVersion != 0 &&
-		oldDoc.SchemaVersion != newDoc.SchemaVersion {
+	if oldDoc.SchemaVersion != newDoc.SchemaVersion {
 		fmt.Fprintf(os.Stderr,
 			"itsbench diff: schema version mismatch: %s is v%d, %s is v%d; "+
 				"regenerate the older document before comparing\n",
 			fs.Arg(0), oldDoc.SchemaVersion, fs.Arg(1), newDoc.SchemaVersion)
 		return 3
 	}
-	drifts := diffDocs(oldDoc, newDoc, *tolerance)
+	drifts := diffDocs(oldDoc, newDoc)
 	if len(drifts) == 0 {
 		fmt.Fprintf(out, "itsbench diff: no drift (%d figures, %d runs, %d fleet sweeps compared)\n",
 			len(oldDoc.Figures), len(oldDoc.Runs), len(oldDoc.Fleet))
@@ -81,10 +75,10 @@ func loadDoc(path string) (*jsonDoc, error) {
 }
 
 // diffDocs returns one line per drifted metric, sorted for stable output.
-func diffDocs(oldDoc, newDoc *jsonDoc, tol float64) []string {
+func diffDocs(oldDoc, newDoc *jsonDoc) []string {
 	var drifts []string
 	report := func(name string, a, b float64) {
-		if !withinTolerance(a, b, tol) {
+		if a != b {
 			drifts = append(drifts, fmt.Sprintf("%s: %v -> %v (%+.3g%%)",
 				name, a, b, relDrift(a, b)*100))
 		}
@@ -259,15 +253,6 @@ func diffDocs(oldDoc, newDoc *jsonDoc, tol float64) []string {
 		}
 	}
 	return drifts
-}
-
-// withinTolerance reports whether b is within the relative tolerance of a.
-// tol 0 demands exact equality.
-func withinTolerance(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	return relDrift(a, b) <= tol
 }
 
 // relDrift is |b-a| relative to |a| (or to |b| when a is zero, so appearing

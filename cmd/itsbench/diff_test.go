@@ -75,6 +75,8 @@ func TestDiffDetectsDrift(t *testing.T) {
 	}
 }
 
+// TestDiffTolerance: diff compares at zero tolerance with no way to loosen
+// it — -tolerance is a usage error, and a 1 % drift is reported.
 func TestDiffTolerance(t *testing.T) {
 	dir := t.TempDir()
 	a := writeDoc(t, dir, "a.json", testDoc())
@@ -83,12 +85,12 @@ func TestDiffTolerance(t *testing.T) {
 	b := writeDoc(t, dir, "b.json", changed)
 
 	var out bytes.Buffer
-	if code := diffMain([]string{"-tolerance", "0.05", a, b}, &out); code != 0 {
-		t.Fatalf("1%% drift under 5%% tolerance: exit %d, output:\n%s", code, out.String())
+	if code := diffMain([]string{"-tolerance", "0.05", a, b}, &out); code != 2 {
+		t.Fatalf("-tolerance: exit %d, want 2 (usage error); output:\n%s", code, out.String())
 	}
 	out.Reset()
-	if code := diffMain([]string{"-tolerance", "0.001", a, b}, &out); code != 1 {
-		t.Fatalf("1%% drift over 0.1%% tolerance: exit %d, output:\n%s", code, out.String())
+	if code := diffMain([]string{a, b}, &out); code != 1 || !strings.Contains(out.String(), "runs/ITS/1_Data_Intensive/makespan_ns") {
+		t.Fatalf("1%% drift: exit %d, want 1 naming the drifted metric; output:\n%s", code, out.String())
 	}
 }
 
@@ -259,9 +261,10 @@ func TestDiffUsageErrors(t *testing.T) {
 	}
 }
 
-// TestDiffSchemaVersion: mismatched nonzero schema versions are a layout
-// change, not drift — exit 3 before any counter comparison; an unversioned
-// (pre-versioning) document compares with anything.
+// TestDiffSchemaVersion: mismatched schema versions are a layout change,
+// not drift — exit 3 before any counter comparison. An unversioned
+// (pre-versioning) document is version 0 and compares only with another
+// unversioned one.
 func TestDiffSchemaVersion(t *testing.T) {
 	dir := t.TempDir()
 	docAt := func(v int) *jsonDoc {
@@ -278,8 +281,8 @@ func TestDiffSchemaVersion(t *testing.T) {
 		{"both current", docSchemaVersion, docSchemaVersion, 0},
 		{"mismatched nonzero", 1, 2, 3},
 		{"mismatched nonzero reversed", 2, 1, 3},
-		{"old unversioned", 0, docSchemaVersion, 0},
-		{"new unversioned", docSchemaVersion, 0, 0},
+		{"old unversioned", 0, docSchemaVersion, 3},
+		{"new unversioned", docSchemaVersion, 0, 3},
 		{"both unversioned", 0, 0, 0},
 	}
 	for _, tc := range cases {

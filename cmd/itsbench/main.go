@@ -25,9 +25,9 @@
 //	itsbench diff before.json after.json
 //
 // The diff subcommand compares two -format json documents and exits
-// non-zero when any figure value or run-summary metric drifted beyond
-// -tolerance (default: exact match) — the regression check for simulator
-// changes that must not move the numbers. The simulator's own speed is
+// non-zero when any figure value or run-summary metric changed at all —
+// the regression check for simulator changes that must not move the
+// numbers. The simulator's own speed is
 // measured by the benchmark under bench/ (see bench/README.md).
 //
 // With -trace-out every simulated run streams its event trace into one file
@@ -99,7 +99,7 @@ const docSchemaVersion = 1
 // experiment's data, with durations in virtual nanoseconds.
 type jsonDoc struct {
 	// SchemaVersion is docSchemaVersion at write time; 0 marks a document
-	// from before versioning and compares with anything.
+	// from before versioning, which diff compares only with another one.
 	SchemaVersion int                     `json:"schema_version,omitempty"`
 	Scale         float64                 `json:"scale"`
 	Setup         map[string]string       `json:"setup,omitempty"`

@@ -8,43 +8,29 @@ import (
 	"sort"
 )
 
-// fixMode runs the analyzers and applies their SuggestedFixes — byte-offset
-// splices carried through `go vet -json` — to the working tree. Idempotent:
-// once a site is rewritten its diagnostic is gone, so a second run is a
-// no-op. Overlapping edits are applied first-wins; the skipped ones are
-// reported so a re-run can pick them up against the new offsets.
+// fixMode runs the analyzers and applies their SuggestedFixes to the
+// working tree as byte-offset splices. Idempotent: once a site is
+// rewritten its diagnostic is gone, so a second run is a no-op. Overlapping
+// edits are applied first-wins; the skipped ones are reported so a re-run
+// can pick them up against the new offsets.
 func fixMode(args []string) int {
 	fs := flag.NewFlagSet("itslint fix", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	pkgs := fs.Args()
-	if len(pkgs) == 0 {
-		pkgs = []string{"./..."}
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "itslint:", err)
-		return 2
-	}
-	diags, err := vetJSON(exe, nil, pkgs, "")
+	res, err := lint(analyzers, fs.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "itslint:", err)
 		return 2
 	}
 
-	// Gather edits per file, deduplicated — the same diagnostic can surface
-	// once per importing package.
-	perFile := make(map[string][]vetEdit)
-	seen := make(map[vetEdit]bool)
-	for _, d := range diags {
-		for _, f := range d.Fixes {
-			for _, e := range f.Edits {
-				if e.Filename == "" || seen[e] {
-					continue
-				}
-				seen[e] = true
-				perFile[e.Filename] = append(perFile[e.Filename], e)
+	perFile := make(map[string][]edit)
+	for _, d := range res.Diagnostics {
+		for _, f := range d.SuggestedFixes {
+			for _, e := range f.TextEdits {
+				start := res.Fset.Position(e.Pos)
+				perFile[start.Filename] = append(perFile[start.Filename],
+					edit{Start: start.Offset, End: res.Fset.Position(e.End).Offset, New: string(e.NewText)})
 			}
 		}
 	}
@@ -74,9 +60,16 @@ func fixMode(args []string) int {
 	return 0
 }
 
+// edit is a byte-offset splice within one file: [Start, End) replaced by
+// New.
+type edit struct {
+	Start, End int
+	New        string
+}
+
 // applyEdits splices the edits into file, back to front so earlier byte
 // offsets stay valid, keeping the original permission bits.
-func applyEdits(file string, edits []vetEdit) (applied, skipped int, err error) {
+func applyEdits(file string, edits []edit) (applied, skipped int, err error) {
 	sort.Slice(edits, func(i, j int) bool {
 		if edits[i].Start != edits[j].Start {
 			return edits[i].Start < edits[j].Start
@@ -93,7 +86,7 @@ func applyEdits(file string, edits []vetEdit) (applied, skipped int, err error) 
 	}
 
 	// First-wins overlap resolution on the ascending order...
-	var kept []vetEdit
+	var kept []edit
 	lastEnd := -1
 	for _, e := range edits {
 		if e.Start < lastEnd || e.Start < 0 || e.End < e.Start || e.End > len(data) {

@@ -8,47 +8,22 @@ import (
 	"path/filepath"
 	"strings"
 
+	"golang.org/x/tools/go/analysis"
+
 	"itsim/internal/analysis/schemafreeze"
 )
 
-// freezeMode regenerates the frozen-schema baseline: every vet worker
-// appends its package's //itslint:frozen layouts to a capture file
-// (-schemafreeze.freeze), which is merged, formatted deterministically and
-// written to internal/analysis/testdata/frozen.json under the module root.
-// Other analyzers' findings do not block a freeze — vet runs in JSON mode
-// and the diagnostics are discarded.
+// freezeMode regenerates the frozen-schema baseline: it runs schemafreeze
+// over the packages and writes their captured layouts, formatted
+// deterministically, to internal/analysis/testdata/frozen.json under the
+// module root. Drift findings do not block a freeze; a package that does
+// not load does.
 func freezeMode(args []string) int {
 	fs := flag.NewFlagSet("itslint freeze", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	pkgs := fs.Args()
-	if len(pkgs) == 0 {
-		pkgs = []string{"./..."}
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "itslint:", err)
-		return 2
-	}
-	capture, err := os.CreateTemp("", "itslint-freeze-*.jsonl")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "itslint:", err)
-		return 2
-	}
-	capture.Close()
-	defer os.Remove(capture.Name())
-
-	if _, err := vetJSON(exe, []string{"-schemafreeze.freeze=" + capture.Name()}, pkgs, ""); err != nil {
-		fmt.Fprintln(os.Stderr, "itslint:", err)
-		return 2
-	}
-	data, err := os.ReadFile(capture.Name())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "itslint:", err)
-		return 2
-	}
-	baseline, err := schemafreeze.MergeCapture(data)
+	res, err := lint([]*analysis.Analyzer{schemafreeze.Analyzer}, fs.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "itslint:", err)
 		return 2
@@ -63,11 +38,11 @@ func freezeMode(args []string) int {
 		fmt.Fprintln(os.Stderr, "itslint:", err)
 		return 2
 	}
-	if err := os.WriteFile(path, schemafreeze.FormatBaseline(baseline), 0o644); err != nil {
+	if err := os.WriteFile(path, schemafreeze.FormatBaseline(res.Frozen), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "itslint:", err)
 		return 2
 	}
-	fmt.Fprintf(os.Stderr, "itslint freeze: %d frozen structs -> %s\n", len(baseline), path)
+	fmt.Fprintf(os.Stderr, "itslint freeze: %d frozen structs -> %s\n", len(res.Frozen), path)
 	return 0
 }
 

@@ -10,11 +10,11 @@ import (
 	"testing"
 )
 
-// buildItslint compiles the multichecker once per test into a temp dir.
+// buildItslint compiles the command once per test into a temp dir.
 func buildItslint(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
-		t.Skip("builds and execs the vet toolchain; skipped in -short")
+		t.Skip("builds and execs itslint; skipped in -short")
 	}
 	bin := filepath.Join(t.TempDir(), "itslint")
 	build := exec.Command("go", "build", "-o", bin, ".")
@@ -24,9 +24,9 @@ func buildItslint(t *testing.T) string {
 	return bin
 }
 
-// TestRunMode builds the multichecker and drives `itslint run` over one
-// real package end to end: the go vet -vettool handshake, the suppression
-// side channel, and the aggregated summary line on stderr.
+// TestRunMode drives the built `itslint run` over real packages named by
+// relative paths: the driver resolves them through go list and counts the
+// suppressions of the named packages only, not of their dependencies.
 func TestRunMode(t *testing.T) {
 	bin := buildItslint(t)
 
@@ -48,13 +48,19 @@ func TestRunMode(t *testing.T) {
 	if !strings.Contains(out, "entropyflow=2") {
 		t.Errorf("expected entropyflow=2 suppressions in summary, got:\n%s", out)
 	}
+
+	// internal/smp imports sched, whose suppressions belong to sched alone.
+	code, _, errOut := runIn(t, repoRoot(t), bin, "run", "./internal/smp")
+	if want := "itslint: clean, no //itslint:allow suppressions\n"; code != 0 || errOut != want {
+		t.Errorf("itslint run ./internal/smp: exit %d, stderr %q, want exit 0 and %q", code, errOut, want)
+	}
 }
 
 // writeFixtureModule lays out a throwaway `module itsim` tree containing a
 // deterministic-set package with one fixable seedflow violation and one
 // //itslint:allow-suppressed violation, plus the prng package the suggested
-// fix rewrites into.
-func writeFixtureModule(t *testing.T) string {
+// fix rewrites into. extra adds or replaces files (path → content).
+func writeFixtureModule(t *testing.T, extra map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
 	files := map[string]string{
@@ -97,6 +103,9 @@ func Legacy(seed uint64) *prng.Source {
 }
 `,
 	}
+	for name, content := range extra {
+		files[name] = content
+	}
 	for name, content := range files {
 		path := filepath.Join(dir, filepath.FromSlash(name))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -130,13 +139,45 @@ func runIn(t *testing.T, dir, bin string, args ...string) (int, string, string) 
 	return code, stdout.String(), stderr.String()
 }
 
+// sarifDoc is the part of a SARIF 2.1.0 log the tests read.
+type sarifDoc struct {
+	Version string `json:"version"`
+	Runs    []struct {
+		Tool struct {
+			Driver struct {
+				Name  string `json:"name"`
+				Rules []struct {
+					ID string `json:"id"`
+				} `json:"rules"`
+			} `json:"driver"`
+		} `json:"tool"`
+		Results []struct {
+			RuleID  string `json:"ruleId"`
+			Level   string `json:"level"`
+			Message struct {
+				Text string `json:"text"`
+			} `json:"message"`
+			Locations []struct {
+				PhysicalLocation struct {
+					ArtifactLocation struct {
+						URI string `json:"uri"`
+					} `json:"artifactLocation"`
+					Region struct {
+						StartLine int `json:"startLine"`
+					} `json:"region"`
+				} `json:"physicalLocation"`
+			} `json:"locations"`
+		} `json:"results"`
+	} `json:"runs"`
+}
+
 // TestSarifFixBudget is the driver round trip on the fixture module:
 // `run -format sarif` emits a well-formed SARIF 2.1.0 log and exits
 // nonzero, `fix` applies the prng.Mix rewrite and is idempotent, a clean
 // re-run passes, and `-budget` enforces the committed suppression count.
 func TestSarifFixBudget(t *testing.T) {
 	bin := buildItslint(t)
-	dir := writeFixtureModule(t)
+	dir := writeFixtureModule(t, nil)
 	chaosPath := filepath.Join(dir, "internal", "chaos", "chaos.go")
 
 	// SARIF: the finding is present, located, and attributed to seedflow.
@@ -144,36 +185,7 @@ func TestSarifFixBudget(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("run -format sarif: want exit 1 with findings, got %d\n%s%s", code, stderr, stdout)
 	}
-	var log struct {
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID  string `json:"ruleId"`
-				Level   string `json:"level"`
-				Message struct {
-					Text string `json:"text"`
-				} `json:"message"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
+	var log sarifDoc
 	if err := json.Unmarshal([]byte(stdout), &log); err != nil {
 		t.Fatalf("SARIF output does not parse: %v\n%s", err, stdout)
 	}
@@ -250,6 +262,137 @@ func TestSarifFixBudget(t *testing.T) {
 	code, _, stderr = runIn(t, dir, bin, "run", "-budget", budget, "./...")
 	if code == 0 || !strings.Contains(stderr, "exceed the committed budget") {
 		t.Fatalf("run -budget without allowance: want budget violation, got exit %d\n%s", code, stderr)
+	}
+}
+
+// flowFiles extend the fixture module with the lib/order → lib/wrap →
+// chaos map-order laundering of internal/analysis/testdata and one
+// //itslint:frozen struct.
+var flowFiles = map[string]string{
+	"internal/lib/order/order.go": `// Package order is a helper outside the deterministic set.
+package order
+
+// Keys returns m's keys in Go's per-run randomized map order.
+func Keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+`,
+	"internal/lib/wrap/wrap.go": `// Package wrap forwards order.Keys across a second package boundary.
+package wrap
+
+import "itsim/internal/lib/order"
+
+// FirstKey returns one of m's keys, chosen by map order.
+func FirstKey(m map[string]int) string {
+	ks := order.Keys(m)
+	if len(ks) == 0 {
+		return ""
+	}
+	return ks[0]
+}
+`,
+	"internal/chaos/flow.go": `package chaos
+
+import (
+	"itsim/internal/lib/wrap"
+	"itsim/internal/prng"
+)
+
+// Shuffled seeds a stream from map order laundered two packages away.
+func Shuffled(m map[string]int) *prng.Source {
+	return prng.New(uint64(len(wrap.FirstKey(m))))
+}
+`,
+	"internal/metrics/metrics.go": `// Package metrics holds a frozen fixture summary.
+package metrics
+
+// Summary is a fixture run summary.
+//
+//itslint:frozen
+type Summary struct {
+	MakespanNs int64 ` + "`json:\"makespan_ns\"`" + `
+}
+`,
+}
+
+// TestFactsAndFreeze runs the built binary where only the production
+// driver is in play: facts must carry the map-order taint from lib/order
+// through lib/wrap into chaos, `freeze` must write the module's frozen
+// struct to its baseline and be a fixed point, and the real tree must come
+// up clean with exactly its three committed suppressions.
+func TestFactsAndFreeze(t *testing.T) {
+	bin := buildItslint(t)
+	dir := writeFixtureModule(t, flowFiles)
+
+	code, stdout, stderr := runIn(t, dir, bin, "run", "-format", "sarif", "./...")
+	if code != 1 {
+		t.Fatalf("run: want exit 1 with findings, got %d\n%s%s", code, stderr, stdout)
+	}
+	var log sarifDoc
+	if err := json.Unmarshal([]byte(stdout), &log); err != nil || len(log.Runs) != 1 {
+		t.Fatalf("SARIF output does not parse (%v):\n%s", err, stdout)
+	}
+	laundered := false
+	for _, r := range log.Runs[0].Results {
+		if r.RuleID == "entropyflow" &&
+			r.Locations[0].PhysicalLocation.ArtifactLocation.URI == "internal/chaos/flow.go" &&
+			strings.Contains(r.Message.Text, "map iteration order (via itsim/internal/lib/order.Keys) flows into PRNG seed") {
+			laundered = true
+		}
+	}
+	if !laundered {
+		t.Errorf("run did not report the laundered map order in internal/chaos/flow.go:\n%s", stdout)
+	}
+
+	if code, stdout, stderr = runIn(t, dir, bin, "freeze", "./..."); code != 0 {
+		t.Fatalf("freeze: exit %d\n%s%s", code, stderr, stdout)
+	}
+	baseline := filepath.Join(dir, "internal", "analysis", "testdata", "frozen.json")
+	first, err := os.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"itsim/internal/metrics.Summary": "MakespanNs int64 json:\"makespan_ns\""`; !strings.Contains(string(first), want) {
+		t.Errorf("frozen.json lacks %s:\n%s", want, first)
+	}
+	if code, stdout, stderr = runIn(t, dir, bin, "freeze", "./..."); code != 0 {
+		t.Fatalf("second freeze: exit %d\n%s%s", code, stderr, stdout)
+	}
+	if second, err := os.ReadFile(baseline); err != nil || !bytes.Equal(first, second) {
+		t.Errorf("second freeze changed frozen.json (%v):\n--- first\n%s\n--- second\n%s", err, first, second)
+	}
+
+	code, _, stderr = runIn(t, repoRoot(t), bin, "run", "./...")
+	if want := "itslint: 3 findings suppressed by //itslint:allow (entropyflow=3)\n"; code != 0 || stderr != want {
+		t.Errorf("itslint run ./... on the repository: exit %d, stderr %q, want exit 0 and %q", code, stderr, want)
+	}
+}
+
+// TestBrokenPackageExits2 checks that a package that does not type-check
+// is a load error in every mode — exit 2 and no summary line — never a
+// clean or findings verdict.
+func TestBrokenPackageExits2(t *testing.T) {
+	bin := buildItslint(t)
+	dir := writeFixtureModule(t, map[string]string{
+		"internal/sim/sim.go": "package sim\n\nfunc F() int { return \"x\" }\n",
+	})
+	for _, args := range [][]string{
+		{"run", "./..."},
+		{"run", "-format", "sarif", "./..."},
+		{"fix", "./..."},
+		{"freeze", "./..."},
+	} {
+		code, stdout, stderr := runIn(t, dir, bin, args...)
+		if code != 2 || strings.Contains(stderr, "itslint:allow") {
+			t.Errorf("itslint %s: exit %d, want 2 with no summary line\n%s%s", strings.Join(args, " "), code, stderr, stdout)
+		}
+		if !strings.Contains(stderr, "sim.go") {
+			t.Errorf("itslint %s: the type error is not named:\n%s", strings.Join(args, " "), stderr)
+		}
 	}
 }
 

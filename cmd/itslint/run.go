@@ -4,16 +4,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 
 	"itsim/internal/analysis/itslint"
 )
 
-// runMode self-drives go vet with this binary as the vettool, aggregating
-// per-package suppression counts through the $ITSLINT_SUMMARY side channel
-// into one summary line. -format sarif converts the diagnostics to a SARIF
-// 2.1.0 log on stdout; -budget fails the run when suppressions exceed the
-// committed per-analyzer allowance.
+// runMode reports the suite's diagnostics and the one-line suppression
+// summary. -format sarif writes the diagnostics as a SARIF 2.1.0 log on
+// stdout; -budget fails the run when suppressions exceed the committed
+// per-analyzer allowance.
 func runMode(args []string) int {
 	fs := flag.NewFlagSet("itslint run", flag.ContinueOnError)
 	format := fs.String("format", "text", `diagnostic format: "text" or "sarif"`)
@@ -25,76 +23,41 @@ func runMode(args []string) int {
 		fmt.Fprintf(os.Stderr, "itslint: unknown -format %q (want text or sarif)\n", *format)
 		return 2
 	}
-	pkgs := fs.Args()
-	if len(pkgs) == 0 {
-		pkgs = []string{"./..."}
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "itslint:", err)
-		return 2
-	}
-	tmp, err := os.CreateTemp("", "itslint-summary-*")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "itslint:", err)
-		return 2
-	}
-	tmp.Close()
-	defer os.Remove(tmp.Name())
-
-	rc := 0
-	switch *format {
-	case "text":
-		cmd := exec.Command("go", append([]string{"vet", "-vettool=" + exe, nonceArg()}, pkgs...)...)
-		cmd.Stdout = os.Stdout
-		cmd.Stderr = os.Stderr
-		cmd.Env = append(os.Environ(), itslint.SummaryEnv+"="+tmp.Name())
-		if vetErr := cmd.Run(); vetErr != nil {
-			if ee, ok := vetErr.(*exec.ExitError); ok {
-				rc = ee.ExitCode()
-			} else {
-				fmt.Fprintln(os.Stderr, "itslint:", vetErr)
-				rc = 2
-			}
-		}
-	case "sarif":
-		diags, err := vetJSON(exe, nil, pkgs, tmp.Name())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "itslint:", err)
-			rc = 2
-			break
-		}
-		os.Stdout.Write(sarifLog(diags))
-		if len(diags) > 0 {
-			rc = 1
-		}
-	}
-
-	data, err := os.ReadFile(tmp.Name())
-	if err != nil {
-		data = nil
-	}
-	perAnalyzer, total := itslint.ParseSummary(data)
-	fmt.Fprintln(os.Stderr, itslint.FormatSummary(perAnalyzer, total))
-
-	if *budgetPath != "" && rc != 2 {
-		bdata, err := os.ReadFile(*budgetPath)
+	var budget map[string]int
+	if *budgetPath != "" {
+		data, err := os.ReadFile(*budgetPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "itslint:", err)
 			return 2
 		}
-		budget, err := itslint.ParseBudget(bdata)
-		if err != nil {
+		if budget, err = itslint.ParseBudget(data); err != nil {
 			fmt.Fprintf(os.Stderr, "itslint: %s: %v\n", *budgetPath, err)
 			return 2
 		}
-		if violations := itslint.CheckBudget(perAnalyzer, budget); len(violations) > 0 {
-			for _, v := range violations {
-				fmt.Fprintln(os.Stderr, "itslint budget:", v)
-			}
-			if rc == 0 {
-				rc = 1
-			}
+	}
+	res, err := lint(analyzers, fs.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "itslint:", err)
+		return 2
+	}
+
+	if *format == "sarif" {
+		os.Stdout.Write(sarifLog(res.Diagnostics))
+	} else {
+		for _, d := range res.Diagnostics {
+			fmt.Fprintf(os.Stderr, "%s:%d:%d: %s\n", relPath(d.Posn.Filename), d.Posn.Line, d.Posn.Column, d.Message)
+		}
+	}
+	rc := 0
+	if len(res.Diagnostics) > 0 {
+		rc = 1
+	}
+	perAnalyzer, total := res.PerAnalyzer()
+	fmt.Fprintln(os.Stderr, itslint.FormatSummary(perAnalyzer, total))
+	if budget != nil {
+		for _, v := range itslint.CheckBudget(perAnalyzer, budget) {
+			fmt.Fprintln(os.Stderr, "itslint budget:", v)
+			rc = 1
 		}
 	}
 	return rc

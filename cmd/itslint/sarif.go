@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"itsim/internal/analysis/driver"
 )
 
 // Minimal SARIF 2.1.0 shapes — what GitHub code scanning and most editors
@@ -68,7 +70,7 @@ type sarifRegion struct {
 // sarifLog renders the (already position-sorted) diagnostics as a SARIF
 // 2.1.0 log. The rule table carries every analyzer in the suite, found or
 // not, so consumers can enumerate what was checked.
-func sarifLog(diags []vetDiag) []byte {
+func sarifLog(diags []driver.Diagnostic) []byte {
 	rules := make([]sarifRule, 0, len(analyzers))
 	for _, a := range analyzers {
 		rules = append(rules, sarifRule{ID: a.Name, ShortDescription: sarifText{Text: docSummary(a.Doc)}})
@@ -80,8 +82,8 @@ func sarifLog(diags []vetDiag) []byte {
 			Level:   "error",
 			Message: sarifText{Text: d.Message},
 			Locations: []sarifLocation{{PhysicalLocation: sarifPhysical{
-				ArtifactLocation: sarifArtifact{URI: relURI(d.File)},
-				Region:           sarifRegion{StartLine: d.Line, StartColumn: d.Col},
+				ArtifactLocation: sarifArtifact{URI: filepath.ToSlash(relPath(d.Posn.Filename))},
+				Region:           sarifRegion{StartLine: d.Posn.Line, StartColumn: d.Posn.Column},
 			}}},
 		})
 	}
@@ -106,14 +108,14 @@ func docSummary(doc string) string {
 	return doc
 }
 
-// relURI makes a diagnostic path repo-relative (forward slashes) when it
-// sits under the working directory, which is what code-scanning consumers
+// relPath makes a diagnostic path relative to the working directory when
+// it sits under it, which is what editors and code-scanning consumers
 // expect.
-func relURI(path string) string {
+func relPath(path string) string {
 	if wd, err := os.Getwd(); err == nil {
 		if rel, err := filepath.Rel(wd, path); err == nil && !strings.HasPrefix(rel, "..") {
-			path = rel
+			return rel
 		}
 	}
-	return filepath.ToSlash(path)
+	return path
 }

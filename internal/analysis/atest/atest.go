@@ -1,33 +1,17 @@
-// Package atest is a minimal, dependency-free stand-in for
-// golang.org/x/tools/go/analysis/analysistest. The Go distribution vendors
-// the go/analysis framework (which cmd/itslint builds on) but not
-// analysistest or go/packages, and this repository builds offline, so the
-// fixture-driver is reimplemented here on stdlib go/parser + go/types.
-//
-// It follows the analysistest conventions: fixtures live in a GOPATH-style
-// tree (dir/src/<import/path>/*.go) and expected diagnostics are written as
-// trailing comments of the form
+// Package atest is the fixture checker for the itslint analyzers, in the
+// style of golang.org/x/tools/go/analysis/analysistest (which this
+// repository does not vendor). Fixtures live in a GOPATH-style tree
+// (dir/src/<import/path>/*.go) and run through the production driver, so
+// cross-package facts flow exactly as in `itslint run`. Expected
+// diagnostics are written as trailing comments of the form
 //
 //	broken()            // want "regexp" "another regexp"
 //
 // Every expectation must be matched by a diagnostic reported on the same
 // line, and every diagnostic must match an expectation, else the test fails.
-// Fixture packages may import each other (resolved from the tree) and the
-// standard library (type-checked from GOROOT source, which works offline).
 package atest
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"os"
-	"path/filepath"
-	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -35,324 +19,28 @@ import (
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
+
+	"itsim/internal/analysis/driver"
 )
 
-// Run loads each fixture package and checks a's diagnostics against the
-// // want expectations in its files. Fixture dependencies loaded from the
-// tree are analyzed first (depth-first, memoized), so object and package
-// facts exported on them are importable from the package under test —
-// the in-process equivalent of go vet's .vetx fact files.
+// Run runs a over the fixture packages and checks its diagnostics against
+// the // want expectations in their files. Dependencies loaded from the
+// tree contribute facts but are not checked.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) {
 	t.Helper()
-	s := newSession(dir)
-	for _, path := range paths {
-		pi, err := s.l.load(path)
-		if err != nil {
-			t.Errorf("%s: loading fixture %s: %v", a.Name, path, err)
-			continue
-		}
-		diags := s.analyze(t, a, pi)
-		check(t, a.Name, s.l.fset, pi, diags)
-	}
+	check(t, a.Name, RunResult(t, dir, a, paths...))
 }
 
-// RunResult loads one fixture package and returns the raw diagnostics,
-// for tests that assert on suppression counts, fact flow or suggested
-// fixes rather than // want lines.
-func RunResult(t *testing.T, dir string, a *analysis.Analyzer, path string) []analysis.Diagnostic {
+// RunResult runs a over the fixture packages and returns the driver's
+// result, for tests that assert on suppression counts, fact flow,
+// suggested fixes or captured layouts rather than // want lines.
+func RunResult(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) *driver.Result {
 	t.Helper()
-	s := newSession(dir)
-	pi, err := s.l.load(path)
+	res, err := driver.RunGOPATH(dir, []*analysis.Analyzer{a}, paths...)
 	if err != nil {
-		t.Fatalf("%s: loading fixture %s: %v", a.Name, path, err)
+		t.Fatalf("%s: loading fixtures %v: %v", a.Name, paths, err)
 	}
-	return s.analyze(t, a, pi)
-}
-
-// session carries the cross-package state of one Run/RunResult call: the
-// loader plus the fact store shared by every package analyzed in it.
-type session struct {
-	l *loader
-	// objFacts and pkgFacts store gob-encoded facts, keyed by the object
-	// (or package) and the concrete fact type — the same keying the real
-	// driver uses, with gob round-trips standing in for .vetx files so
-	// non-serializable facts fail here too.
-	objFacts map[objFactKey][]byte
-	pkgFacts map[pkgFactKey][]byte
-	// analyzed memoizes which fixture packages an analyzer already ran
-	// on, per analyzer (Requires members run once per package too).
-	analyzed map[*analysis.Analyzer]map[string]bool
-	// results memoizes analyzer results per (analyzer, package).
-	results map[*analysis.Analyzer]map[string]any
-	// diags accumulates diagnostics per (analyzer, package) so that a
-	// package analyzed early (as a dependency) keeps its diagnostics for
-	// a later direct Run over the same session.
-	diags map[*analysis.Analyzer]map[string][]analysis.Diagnostic
-}
-
-type objFactKey struct {
-	obj types.Object
-	t   reflect.Type
-}
-
-type pkgFactKey struct {
-	pkg *types.Package
-	t   reflect.Type
-}
-
-func newSession(dir string) *session {
-	return &session{
-		l:        newLoader(dir),
-		objFacts: make(map[objFactKey][]byte),
-		pkgFacts: make(map[pkgFactKey][]byte),
-		analyzed: make(map[*analysis.Analyzer]map[string]bool),
-		results:  make(map[*analysis.Analyzer]map[string]any),
-		diags:    make(map[*analysis.Analyzer]map[string][]analysis.Diagnostic),
-	}
-}
-
-type pkgInfo struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
-}
-
-type loader struct {
-	fset *token.FileSet
-	dir  string
-	std  types.Importer
-	pkgs map[string]*pkgInfo
-}
-
-func newLoader(dir string) *loader {
-	fset := token.NewFileSet()
-	return &loader{
-		fset: fset,
-		dir:  dir,
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: make(map[string]*pkgInfo),
-	}
-}
-
-// load type-checks the fixture package at dir/src/<path>, resolving imports
-// from the fixture tree first and the standard library otherwise.
-func (l *loader) load(path string) (*pkgInfo, error) {
-	if pi, ok := l.pkgs[path]; ok {
-		return pi, nil
-	}
-	pdir := filepath.Join(l.dir, "src", filepath.FromSlash(path))
-	entries, err := os.ReadDir(pdir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(pdir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", pdir)
-	}
-	conf := types.Config{
-		Importer: importerFunc(func(ipath string) (*types.Package, error) {
-			if _, err := os.Stat(filepath.Join(l.dir, "src", filepath.FromSlash(ipath))); err == nil {
-				pi, err := l.load(ipath)
-				if err != nil {
-					return nil, err
-				}
-				return pi.pkg, nil
-			}
-			return l.std.Import(ipath)
-		}),
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	pkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return nil, err
-	}
-	pi := &pkgInfo{pkg: pkg, files: files, info: info}
-	l.pkgs[path] = pi
-	return pi, nil
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// analyze executes a on pi — after executing it on every fixture-tree
-// dependency of pi (depth-first), so facts exported on dependency objects
-// are importable — and returns pi's diagnostics.
-func (s *session) analyze(t *testing.T, a *analysis.Analyzer, pi *pkgInfo) []analysis.Diagnostic {
-	t.Helper()
-	s.ensure(t, a, pi)
-	return s.diags[a][pi.pkg.Path()]
-}
-
-// ensure runs a (and, recursively, its Requires) on pi exactly once per
-// session, dependencies first. Import order over pi.pkg.Imports() is
-// deterministic for a fixed fixture, and the fixture trees are acyclic by
-// construction (Go forbids import cycles).
-func (s *session) ensure(t *testing.T, a *analysis.Analyzer, pi *pkgInfo) {
-	t.Helper()
-	path := pi.pkg.Path()
-	if s.analyzed[a] == nil {
-		s.analyzed[a] = make(map[string]bool)
-	}
-	if s.analyzed[a][path] {
-		return
-	}
-	s.analyzed[a][path] = true
-	for _, imp := range pi.pkg.Imports() {
-		if dpi, ok := s.l.pkgs[imp.Path()]; ok {
-			s.ensure(t, a, dpi)
-		}
-	}
-
-	var diags []analysis.Diagnostic
-	var exec func(a *analysis.Analyzer, collect bool) any
-	exec = func(a *analysis.Analyzer, collect bool) any {
-		if perPkg, ok := s.results[a]; ok {
-			if r, ok := perPkg[path]; ok {
-				return r
-			}
-		}
-		resultOf := make(map[*analysis.Analyzer]any)
-		for _, req := range a.Requires {
-			resultOf[req] = exec(req, false)
-		}
-		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       s.l.fset,
-			Files:      pi.files,
-			Pkg:        pi.pkg,
-			TypesInfo:  pi.info,
-			TypesSizes: types.SizesFor("gc", "amd64"),
-			ResultOf:   resultOf,
-			Report: func(d analysis.Diagnostic) {
-				if collect {
-					diags = append(diags, d)
-				}
-			},
-			ImportObjectFact:  s.importObjectFact,
-			ExportObjectFact:  s.exportObjectFactFor(t, a, pi),
-			ImportPackageFact: s.importPackageFact,
-			ExportPackageFact: s.exportPackageFactFor(t, a, pi),
-			AllObjectFacts:    s.allObjectFacts,
-			AllPackageFacts:   s.allPackageFacts,
-		}
-		r, err := a.Run(pass)
-		if err != nil {
-			t.Fatalf("%s: Run failed on %s: %v", a.Name, path, err)
-		}
-		if s.results[a] == nil {
-			s.results[a] = make(map[string]any)
-		}
-		s.results[a][path] = r
-		return r
-	}
-	exec(a, true)
-	if s.diags[a] == nil {
-		s.diags[a] = make(map[string][]analysis.Diagnostic)
-	}
-	s.diags[a][path] = diags
-}
-
-// encodeFact gob-encodes a fact, mirroring the serialization the real vet
-// driver applies between compilation units: facts that cannot survive gob
-// fail in tests too.
-func encodeFact(fact analysis.Fact) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(fact); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeFact(data []byte, into analysis.Fact) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(into)
-}
-
-func (s *session) importObjectFact(obj types.Object, fact analysis.Fact) bool {
-	data, ok := s.objFacts[objFactKey{obj, reflect.TypeOf(fact)}]
-	if !ok {
-		return false
-	}
-	if err := decodeFact(data, fact); err != nil {
-		panic(fmt.Sprintf("atest: decoding object fact %T: %v", fact, err))
-	}
-	return true
-}
-
-func (s *session) exportObjectFactFor(t *testing.T, a *analysis.Analyzer, pi *pkgInfo) func(types.Object, analysis.Fact) {
-	return func(obj types.Object, fact analysis.Fact) {
-		if obj == nil || obj.Pkg() != pi.pkg {
-			t.Fatalf("%s: ExportObjectFact on object %v outside current package %s", a.Name, obj, pi.pkg.Path())
-		}
-		data, err := encodeFact(fact)
-		if err != nil {
-			t.Fatalf("%s: encoding object fact %T: %v", a.Name, fact, err)
-		}
-		s.objFacts[objFactKey{obj, reflect.TypeOf(fact)}] = data
-	}
-}
-
-func (s *session) importPackageFact(pkg *types.Package, fact analysis.Fact) bool {
-	data, ok := s.pkgFacts[pkgFactKey{pkg, reflect.TypeOf(fact)}]
-	if !ok {
-		return false
-	}
-	if err := decodeFact(data, fact); err != nil {
-		panic(fmt.Sprintf("atest: decoding package fact %T: %v", fact, err))
-	}
-	return true
-}
-
-func (s *session) exportPackageFactFor(t *testing.T, a *analysis.Analyzer, pi *pkgInfo) func(analysis.Fact) {
-	return func(fact analysis.Fact) {
-		data, err := encodeFact(fact)
-		if err != nil {
-			t.Fatalf("%s: encoding package fact %T: %v", a.Name, fact, err)
-		}
-		s.pkgFacts[pkgFactKey{pi.pkg, reflect.TypeOf(fact)}] = data
-	}
-}
-
-func (s *session) allObjectFacts() []analysis.ObjectFact {
-	var out []analysis.ObjectFact
-	for k, data := range s.objFacts {
-		fact := reflect.New(k.t.Elem()).Interface().(analysis.Fact)
-		if err := decodeFact(data, fact); err != nil {
-			panic(fmt.Sprintf("atest: decoding object fact %v: %v", k.t, err))
-		}
-		out = append(out, analysis.ObjectFact{Object: k.obj, Fact: fact})
-	}
-	return out
-}
-
-func (s *session) allPackageFacts() []analysis.PackageFact {
-	var out []analysis.PackageFact
-	for k, data := range s.pkgFacts {
-		fact := reflect.New(k.t.Elem()).Interface().(analysis.Fact)
-		if err := decodeFact(data, fact); err != nil {
-			panic(fmt.Sprintf("atest: decoding package fact %v: %v", k.t, err))
-		}
-		out = append(out, analysis.PackageFact{Package: k.pkg, Fact: fact})
-	}
-	return out
+	return res
 }
 
 // expectation is one // want regexp at a file:line.
@@ -364,11 +52,11 @@ type expectation struct {
 	matched bool
 }
 
-// check compares diagnostics against the // want comments of the fixture.
-func check(t *testing.T, name string, fset *token.FileSet, pi *pkgInfo, diags []analysis.Diagnostic) {
+// check compares diagnostics against the // want comments of the fixtures.
+func check(t *testing.T, name string, res *driver.Result) {
 	t.Helper()
 	var wants []*expectation
-	for _, f := range pi.files {
+	for _, f := range res.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := c.Text
@@ -376,7 +64,7 @@ func check(t *testing.T, name string, fset *token.FileSet, pi *pkgInfo, diags []
 				if i < 0 {
 					continue
 				}
-				pos := fset.Position(c.Pos())
+				pos := res.Fset.Position(c.Pos())
 				for _, raw := range splitQuoted(text[i+len("// want "):]) {
 					re, err := regexp.Compile(raw)
 					if err != nil {
@@ -388,8 +76,8 @@ func check(t *testing.T, name string, fset *token.FileSet, pi *pkgInfo, diags []
 			}
 		}
 	}
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
+	for _, d := range res.Diagnostics {
+		pos := d.Posn
 		ok := false
 		for _, w := range wants {
 			if !w.matched && w.file == pos.Filename && w.line == pos.Line && w.re.MatchString(d.Message) {

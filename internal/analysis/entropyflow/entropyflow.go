@@ -17,8 +17,8 @@
 // its return value keys an event or seeds a stream inside the set, two
 // identically-seeded runs diverge. The analysis follows the modular
 // printf-wrapper style of go/analysis: each function exports facts
-// (ReturnsEntropy, ParamEscapesToSink, SeedsRNG) that the vet driver
-// serializes between compilation units, so the fixpoint spans the whole
+// (ReturnsEntropy, ParamEscapesToSink, SeedsRNG) that the driver hands to
+// every package analyzed after it, so the fixpoint spans the whole
 // build graph without SSA or whole-program loading.
 //
 // Taint sources:
@@ -137,7 +137,6 @@ func run(pass *analysis.Pass) (any, error) {
 	for _, fd := range funcs {
 		analyzeFunc(pass, al, fd, true, det)
 	}
-	al.Flush("entropyflow")
 	return nil, nil
 }
 

@@ -39,7 +39,7 @@ func TestSourceBan(t *testing.T) {
 // the empty-reason diagnostic lands on the directive's own line, which
 // cannot also carry a // want comment.
 func TestNonDeterministicPackage(t *testing.T) {
-	diags := atest.RunResult(t, "../testdata", entropyflow.Analyzer, "itsim/cmd/clitool")
+	diags := atest.RunResult(t, "../testdata", entropyflow.Analyzer, "itsim/cmd/clitool").Diagnostics
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want exactly the empty-reason report: %+v", len(diags), diags)
 	}
@@ -53,7 +53,7 @@ func TestNonDeterministicPackage(t *testing.T) {
 // order→wrap helper chain is caught at its sink, while the consumer package
 // itself contains no direct source for the ban to report.
 func TestHelperChainBeyondSourceBan(t *testing.T) {
-	ed := atest.RunResult(t, "../testdata", entropyflow.Analyzer, "itsim/internal/chaos")
+	ed := atest.RunResult(t, "../testdata", entropyflow.Analyzer, "itsim/internal/chaos").Diagnostics
 	found := false
 	for _, d := range ed {
 		if strings.Contains(d.Message, "via itsim/internal/lib/order.Keys") &&
@@ -69,8 +69,9 @@ func TestHelperChainBeyondSourceBan(t *testing.T) {
 	}
 }
 
-// TestFactRoundTrip proves each fact type survives the gob serialization
-// the vet driver applies between compilation units.
+// TestFactRoundTrip proves each fact type survives gob, as the go/analysis
+// Fact contract requires of every fact (the in-process driver copies facts
+// without serializing them, so this test is what keeps the contract).
 func TestFactRoundTrip(t *testing.T) {
 	facts := []any{
 		&entropyflow.ReturnsEntropy{Why: "map iteration order (via p.F)"},

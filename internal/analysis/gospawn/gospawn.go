@@ -5,11 +5,12 @@
 // inside the core would let OS scheduling order leak into event order.
 //
 // The only sanctioned concurrency is the host-parallel batch layer in
-// itsim/internal/core: runJobs and the entry points that use it (RunGrid,
-// RunSensitivity, RunSpinSweep) fan whole runs out across host cores, each
-// run still fully deterministic in isolation (serial order is re-imposed
-// when tracing). Those functions are allowlisted; everything else in the
-// deterministic packages and internal/core is flagged.
+// itsim/internal/core: its runJobs worker pool fans whole runs out across
+// host cores, each run still fully deterministic in isolation (serial order
+// is re-imposed when tracing). runJobs is allowlisted; the entry points
+// that use it (RunGrid, RunSensitivity, RunSpinSweep) spawn nothing
+// themselves, and everything else in the deterministic packages and
+// internal/core is flagged.
 package gospawn
 
 import (
@@ -25,22 +26,17 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "gospawn",
 	Doc: "forbid goroutines and channel operations in the deterministic simulator core " +
-		"(host-parallel entry points core.RunGrid/RunSensitivity/RunSpinSweep are allowlisted)",
+		"(the host-parallel worker pool core.runJobs is allowlisted)",
 	Run: run,
 }
 
 // hostParallelPkg is the batch layer allowed to use host concurrency in
-// designated functions only.
+// hostParallelFunc only.
 const hostParallelPkg = "itsim/internal/core"
 
-// hostParallelFuncs are the sanctioned host-parallel functions of
-// internal/core, including the shared worker-fanout helper they delegate to.
-var hostParallelFuncs = map[string]bool{
-	"runJobs":        true,
-	"RunGrid":        true,
-	"RunSensitivity": true,
-	"RunSpinSweep":   true,
-}
+// hostParallelFunc is the worker pool every host-parallel entry point of
+// internal/core delegates to.
+const hostParallelFunc = "runJobs"
 
 func run(pass *analysis.Pass) (any, error) {
 	path := pass.Pkg.Path()
@@ -57,8 +53,8 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok {
 				continue
 			}
-			if path == hostParallelPkg && hostParallelFuncs[fd.Name.Name] {
-				continue // sanctioned host-parallel entry point
+			if path == hostParallelPkg && fd.Name.Name == hostParallelFunc {
+				continue // the sanctioned worker pool
 			}
 			ast.Inspect(fd, func(n ast.Node) bool {
 				checkNode(pass, al, n)
@@ -66,7 +62,6 @@ func run(pass *analysis.Pass) (any, error) {
 			})
 		}
 	}
-	al.Flush("gospawn")
 	return nil, nil
 }
 

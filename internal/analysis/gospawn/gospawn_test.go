@@ -9,9 +9,9 @@ import (
 
 // TestGospawn checks both polarities: every host-concurrency form is
 // flagged in a deterministic package (itsim/internal/sched fixture), the
-// sanctioned host-parallel entry points of itsim/internal/core pass
-// despite their goroutines and channels, and anything else in that package
-// is still flagged.
+// runJobs worker pool of itsim/internal/core passes despite its goroutines
+// and channels, and anything else in that package — RunGrid included — is
+// still flagged.
 func TestGospawn(t *testing.T) {
 	atest.Run(t, "../testdata", gospawn.Analyzer,
 		"itsim/internal/sched", "itsim/internal/core")

@@ -1,7 +1,7 @@
 // Package itslint holds the shared machinery of the simulator's custom
 // go/analysis passes: the deterministic-package set every analyzer scopes
 // itself to, the //itslint:allow suppression directive, and the suppression
-// accounting the `itslint run` multichecker aggregates into its summary.
+// summary and budget `itslint run` prints and enforces.
 //
 // Every result this repository reports rests on bit-exact determinism: the
 // same seed must produce byte-identical summaries across repeats and under
@@ -15,7 +15,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -168,9 +167,10 @@ func hasDirective(cg *ast.CommentGroup, directive string) bool {
 	return false
 }
 
-// SummaryEnv, when set, names a file each analyzer appends its suppression
-// counts to; `itslint run` aggregates it into the multichecker summary.
-const SummaryEnv = "ITSLINT_SUMMARY"
+// Suppressed is the Category of a diagnostic that a justified
+// //itslint:allow directive absorbed. The driver counts such diagnostics
+// toward the suppression summary instead of reporting them.
+const Suppressed = "itslint:suppressed"
 
 // Directive is one parsed //itslint:allow comment.
 type Directive struct {
@@ -188,8 +188,6 @@ type Allows struct {
 	pass *analysis.Pass
 	// dirs maps filename → line → directive.
 	dirs map[string]map[int]*Directive
-	// Suppressed counts diagnostics a non-empty-reason directive absorbed.
-	Suppressed int
 }
 
 // Scan indexes the allow directives of every non-test file in the package.
@@ -258,86 +256,25 @@ func (al *Allows) allowed(pos token.Pos) *Directive {
 // directive is counted once.
 func (al *Allows) Sanctioned(pos token.Pos) bool { return al.allowed(pos) != nil }
 
-// Report files the diagnostic unless a justified //itslint:allow directive
-// covers pos, in which case the suppression is counted instead.
+// Report files the diagnostic, marked Suppressed when a justified
+// //itslint:allow directive covers pos.
 func (al *Allows) Report(pos token.Pos, format string, args ...any) {
-	if al.allowed(pos) != nil {
-		al.Suppressed++
-		return
-	}
-	al.pass.Report(analysis.Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
+	al.ReportFix(pos, token.NoPos, nil, format, args...)
 }
 
 // ReportFix is Report with attached SuggestedFixes, for diagnostics that
-// `itslint fix` can apply mechanically.
+// `itslint fix` can apply mechanically. A suppressed diagnostic carries no
+// fixes.
 func (al *Allows) ReportFix(pos token.Pos, end token.Pos, fixes []analysis.SuggestedFix, format string, args ...any) {
+	d := analysis.Diagnostic{Pos: pos, End: end, Message: fmt.Sprintf(format, args...), SuggestedFixes: fixes}
 	if al.allowed(pos) != nil {
-		al.Suppressed++
-		return
+		d.Category, d.SuggestedFixes = Suppressed, nil
 	}
-	al.pass.Report(analysis.Diagnostic{
-		Pos: pos, End: end,
-		Message:        fmt.Sprintf(format, args...),
-		SuggestedFixes: fixes,
-	})
-}
-
-// Flush appends this pass's suppression count to the $ITSLINT_SUMMARY file
-// (best-effort; the environment variable unset means no accounting was
-// requested). Call once at the end of the analyzer's Run.
-func (al *Allows) Flush(analyzer string) {
-	if al.Suppressed == 0 {
-		return
-	}
-	AppendSummary(analyzer, al.pass.Pkg.Path(), al.Suppressed)
-}
-
-// AppendSummary records n suppressions for analyzer on pkg in the summary
-// file named by $ITSLINT_SUMMARY. Each vet worker process appends a single
-// line, so concurrent packages interleave whole records.
-func AppendSummary(analyzer, pkg string, n int) {
-	path := os.Getenv(SummaryEnv)
-	if path == "" || n == 0 {
-		return
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(f, "%s\t%s\t%d\n", analyzer, pkg, n)
-	f.Close()
-}
-
-// ParseSummary aggregates the summary file's records into per-analyzer
-// totals and a grand total. Malformed lines are ignored (a crashed worker
-// may truncate its record). go vet can analyze one package more than once
-// — a fact-producing analyzer also runs in the facts-only pass vet makes
-// over every dependency — and each visit appends a record, so repeated
-// (analyzer, package) records count once, at their largest value.
-func ParseSummary(data []byte) (perAnalyzer map[string]int, total int) {
-	perPkg := make(map[[2]string]int)
-	for _, line := range strings.Split(string(data), "\n") {
-		parts := strings.Split(line, "\t")
-		if len(parts) != 3 {
-			continue
-		}
-		n, err := strconv.Atoi(parts[2])
-		if err != nil || n <= 0 {
-			continue
-		}
-		key := [2]string{parts[0], parts[1]}
-		perPkg[key] = max(perPkg[key], n)
-	}
-	perAnalyzer = make(map[string]int)
-	for key, n := range perPkg {
-		perAnalyzer[key[0]] += n
-		total += n
-	}
-	return perAnalyzer, total
+	al.pass.Report(d)
 }
 
 // FormatSummary renders the aggregated suppression counts as the one-line
-// multichecker summary, e.g.
+// `itslint run` summary, e.g.
 //
 //	itslint: 3 findings suppressed by //itslint:allow (entropyflow=2, gospawn=1)
 func FormatSummary(perAnalyzer map[string]int, total int) string {

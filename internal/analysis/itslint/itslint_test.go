@@ -1,14 +1,17 @@
 package itslint_test
 
 import (
-	"os"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"golang.org/x/tools/go/analysis"
+
 	"itsim/internal/analysis/atest"
+	"itsim/internal/analysis/driver"
 	"itsim/internal/analysis/entropyflow"
 	"itsim/internal/analysis/itslint"
+	"itsim/internal/analysis/schemafreeze"
 )
 
 // TestDirectiveMachinery drives the storage fixture through entropyflow
@@ -17,10 +20,8 @@ import (
 // is counted, an empty-reason allow is reported and does NOT suppress, and
 // a lookalike comment (//itslint:allowance) is not a directive at all.
 func TestDirectiveMachinery(t *testing.T) {
-	summary := filepath.Join(t.TempDir(), "summary")
-	t.Setenv(itslint.SummaryEnv, summary)
-
-	diags := atest.RunResult(t, "../testdata", entropyflow.Analyzer, "itsim/internal/storage")
+	res := atest.RunResult(t, "../testdata", entropyflow.Analyzer, "itsim/internal/storage")
+	diags := res.Diagnostics
 
 	var emptyReason, mapRange int
 	for _, d := range diags {
@@ -43,14 +44,9 @@ func TestDirectiveMachinery(t *testing.T) {
 		t.Errorf("map-range findings reported = %d, want 2", mapRange)
 	}
 
-	// The justified suppression must be counted in the summary side channel.
-	data, err := os.ReadFile(summary)
-	if err != nil {
-		t.Fatalf("summary file not written: %v", err)
-	}
-	per, total := itslint.ParseSummary(data)
-	if total != 1 || per["entropyflow"] != 1 {
-		t.Errorf("ParseSummary = %v (total %d), want entropyflow=1", per, total)
+	// The justified suppression must be counted, not reported.
+	if per, total := res.PerAnalyzer(); total != 1 || per["entropyflow"] != 1 {
+		t.Errorf("suppressions = %v (total %d), want entropyflow=1", per, total)
 	}
 }
 
@@ -68,24 +64,33 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-func TestParseSummary(t *testing.T) {
-	data := []byte(strings.Join([]string{
-		"entropyflow\titsim/internal/sched\t3",
-		"gospawn\titsim/internal/core\t1",
-		"entropyflow\titsim/internal/obs\t2",
-		// A second visit to one package (vet's facts-only pass) counts once.
-		"entropyflow\titsim/internal/sched\t3",
-		"truncated line without tabs",
-		"vtime\titsim/internal/exec\tnot-a-number",
-		"vtime\titsim/internal/exec\t-4",
-		"",
-	}, "\n"))
-	per, total := itslint.ParseSummary(data)
-	if total != 6 {
-		t.Errorf("total = %d, want 6", total)
+// suppressions runs entropyflow and schemafreeze over the fixture roots
+// and returns the driver's per-(analyzer, package) suppression counts.
+func suppressions(t *testing.T, roots ...string) map[driver.Key]int {
+	t.Helper()
+	res, err := driver.RunGOPATH("../testdata", []*analysis.Analyzer{entropyflow.Analyzer, schemafreeze.Analyzer}, roots...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if per["entropyflow"] != 5 || per["gospawn"] != 1 || per["vtime"] != 0 {
-		t.Errorf("per-analyzer = %v, want entropyflow=5 gospawn=1", per)
+	return res.Suppressed
+}
+
+// TestParseSummary checks the driver's per-(analyzer, package) suppression
+// counting: obs is a root and also a dependency of chaos and replay, and
+// its one justified switch still counts once.
+func TestParseSummary(t *testing.T) {
+	got := suppressions(t, "itsim/internal/chaos", "itsim/internal/obs", "itsim/internal/replay")
+	want := map[driver.Key]int{
+		{Analyzer: "entropyflow", Package: "itsim/internal/chaos"}:   1,
+		{Analyzer: "schemafreeze", Package: "itsim/internal/obs"}:    1,
+		{Analyzer: "schemafreeze", Package: "itsim/internal/replay"}: 1,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("suppressions = %v, want %v", got, want)
+	}
+	res := &driver.Result{Suppressed: got}
+	if per, total := res.PerAnalyzer(); total != 3 || per["entropyflow"] != 1 || per["schemafreeze"] != 2 {
+		t.Errorf("PerAnalyzer = %v (total %d), want entropyflow=1 schemafreeze=2", per, total)
 	}
 }
 
@@ -103,27 +108,16 @@ func TestFormatSummary(t *testing.T) {
 	}
 }
 
-// TestAppendSummary checks the side-channel file protocol the vet worker
-// processes use: appends accumulate, and an unset env means no-op.
+// TestAppendSummary checks that only the named packages count: obs and
+// the order→wrap helper chain are dependencies of the roots here, so
+// obs's justified switch is not counted, while chaos's allow is.
 func TestAppendSummary(t *testing.T) {
-	summary := filepath.Join(t.TempDir(), "summary")
-	t.Setenv(itslint.SummaryEnv, summary)
-	itslint.AppendSummary("gospawn", "itsim/internal/core", 1)
-	itslint.AppendSummary("entropyflow", "itsim/internal/sched", 3)
-	itslint.AppendSummary("entropyflow", "itsim/internal/obs", 0) // zero: dropped
-	data, err := os.ReadFile(summary)
-	if err != nil {
-		t.Fatalf("summary file not written: %v", err)
+	got := suppressions(t, "itsim/internal/chaos", "itsim/internal/replay")
+	want := map[driver.Key]int{
+		{Analyzer: "entropyflow", Package: "itsim/internal/chaos"}:   1,
+		{Analyzer: "schemafreeze", Package: "itsim/internal/replay"}: 1,
 	}
-	per, total := itslint.ParseSummary(data)
-	if total != 4 || per["gospawn"] != 1 || per["entropyflow"] != 3 {
-		t.Errorf("round-trip = %v (total %d), want gospawn=1 entropyflow=3", per, total)
-	}
-
-	t.Setenv(itslint.SummaryEnv, "")
-	itslint.AppendSummary("vtime", "itsim/internal/exec", 7)
-	data, _ = os.ReadFile(summary)
-	if _, total := itslint.ParseSummary(data); total != 4 {
-		t.Errorf("append with unset env changed the file: total = %d, want 4", total)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("suppressions = %v, want %v", got, want)
 	}
 }

@@ -64,7 +64,6 @@ func checkEvents(pass *analysis.Pass) {
 			})
 		}
 	}
-	al.Flush("schemafreeze")
 }
 
 // eventKinds returns pkg's package-level constants of the obs event type,

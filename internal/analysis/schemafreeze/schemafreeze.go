@@ -17,9 +17,9 @@
 // Event vocabulary: every switch over the obs event type in a sink or a
 // trace consumer must handle every kind or default explicitly (events.go).
 //
-// Regenerate the baseline with `itslint freeze`: it drives the analyzer in
-// freeze mode (-schemafreeze.freeze=<file>, each vet worker appends its
-// package's records) and rewrites the baseline sorted.
+// Every pass returns the package's layouts as a Capture. `itslint freeze`
+// regenerates the baseline from the captures of the packages it names,
+// sorted.
 package schemafreeze
 
 import (
@@ -51,41 +51,49 @@ var Analyzer = &analysis.Analyzer{
 // BaselineRel is the repo-relative path of the committed baseline.
 const BaselineRel = "internal/analysis/testdata/frozen.json"
 
-// The flag values live in package variables (not looked up through
+// The flag value lives in a package variable (not looked up through
 // Analyzer) so run does not reference Analyzer — that would be an
 // initialization cycle.
-var (
-	baselineFlag string
-	freezeFlag   string
-)
+var baselineFlag string
 
 func init() {
 	Analyzer.Flags.StringVar(&baselineFlag, "baseline", "",
 		"path to the frozen-schema baseline (default: "+BaselineRel+" under the module root)")
-	Analyzer.Flags.StringVar(&freezeFlag, "freeze", "",
-		"freeze mode: append this package's frozen-struct records to the named file instead of checking")
 }
 
-// Record is one frozen struct's layout, as serialized into the baseline
-// and the freeze-mode capture file.
-type Record struct {
-	Name   string `json:"name"`   // fully qualified: importpath.StructName
-	Layout string `json:"layout"` // canonical field descriptor
-}
+// Capture is the pass's result: the package's frozen-struct layouts, keyed
+// by the fully qualified struct name (importpath.StructName).
+type Capture map[string]string
 
 func run(pass *analysis.Pass) (any, error) {
 	recs := collect(pass)
-	if freezeFlag != "" {
-		return nil, appendRecords(freezeFlag, recs)
-	}
 	checkEvents(pass)
-	return nil, checkLayouts(pass, recs)
+	if err := checkLayouts(pass, recs); err != nil {
+		return nil, err
+	}
+	capture := make(Capture, len(recs))
+	for _, r := range recs {
+		capture[r.name] = r.layout
+	}
+	return capture, nil
+}
+
+// MergeCapture adds a package's capture to the baseline being built,
+// rejecting a second, different layout under one name.
+func MergeCapture(baseline map[string]string, capture Capture) error {
+	for name, layout := range capture {
+		if prev, ok := baseline[name]; ok && prev != layout {
+			return fmt.Errorf("conflicting layouts captured for %s: [%s] vs [%s]", name, prev, layout)
+		}
+		baseline[name] = layout
+	}
+	return nil
 }
 
 // checkLayouts compares the package's frozen structs with the baseline.
 // Drift has no //itslint:allow escape: the escape is regenerating the
 // baseline.
-func checkLayouts(pass *analysis.Pass, recs []posRecord) error {
+func checkLayouts(pass *analysis.Pass, recs []record) error {
 	if len(recs) == 0 {
 		return nil
 	}
@@ -94,25 +102,28 @@ func checkLayouts(pass *analysis.Pass, recs []posRecord) error {
 		return err
 	}
 	for _, r := range recs {
-		want, ok := baseline[r.Name]
+		want, ok := baseline[r.name]
 		switch {
 		case !ok:
 			pass.Reportf(r.pos,
 				"frozen struct %s is not in the frozen-schema baseline %s: run `itslint freeze` and commit the result",
-				r.Name, path)
-		case want != r.Layout:
+				r.name, path)
+		case want != r.layout:
 			pass.Reportf(r.pos,
 				"frozen struct %s drifted from the committed baseline: have [%s], baseline [%s]%s; "+
 					"if the schema change is intended, run `itslint freeze` and commit the regenerated %s",
-				r.Name, r.Layout, want, bytesNote(r, want), path)
+				r.name, r.layout, want, bytesNote(r, want), path)
 		}
 	}
 	return nil
 }
 
-type posRecord struct {
-	Record
-	pos token.Pos
+// record is one frozen struct: its qualified name, canonical field
+// descriptor and position.
+type record struct {
+	name   string
+	layout string
+	pos    token.Pos
 	// bare names the exported fields always present in the JSON output:
 	// tagged neither omitempty nor "-".
 	bare []string
@@ -120,7 +131,7 @@ type posRecord struct {
 
 // bytesNote names the bare fields missing from the baseline layout: each
 // changes the bytes of every serialized document, so it wants omitempty.
-func bytesNote(r posRecord, baseline string) string {
+func bytesNote(r record, baseline string) string {
 	var added []string
 	for _, name := range r.bare {
 		if !strings.Contains("; "+baseline, "; "+name+" ") {
@@ -136,8 +147,8 @@ func bytesNote(r posRecord, baseline string) string {
 }
 
 // collect returns the package's frozen-struct records in file order.
-func collect(pass *analysis.Pass) []posRecord {
-	var out []posRecord
+func collect(pass *analysis.Pass) []record {
+	var out []record
 	for _, f := range pass.Files {
 		if itslint.IsTestFile(pass, f.Pos()) {
 			continue
@@ -157,8 +168,9 @@ func collect(pass *analysis.Pass) []posRecord {
 					continue
 				}
 				desc, bare := layout(pass, st)
-				out = append(out, posRecord{
-					Record: Record{Name: pass.Pkg.Path() + "." + ts.Name.Name, Layout: desc},
+				out = append(out, record{
+					name:   pass.Pkg.Path() + "." + ts.Name.Name,
+					layout: desc,
 					pos:    ts.Pos(),
 					bare:   bare,
 				})
@@ -205,49 +217,6 @@ func layout(pass *analysis.Pass, st *ast.StructType) (desc string, bare []string
 	return strings.Join(fields, "; "), bare
 }
 
-// appendRecords writes the package's records to the freeze capture file,
-// one JSON object per line (append-only, so concurrent vet workers
-// interleave whole records like the suppression summary).
-func appendRecords(path string, recs []posRecord) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	for _, r := range recs {
-		line, err := json.Marshal(r.Record)
-		if err != nil {
-			return err
-		}
-		if _, err := f.Write(append(line, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// MergeCapture parses a freeze capture (JSON lines) into the baseline map,
-// rejecting conflicting duplicates (the same struct frozen with two
-// different layouts can only be a build-setup bug).
-func MergeCapture(data []byte) (map[string]string, error) {
-	out := make(map[string]string)
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		var r Record
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
-			return nil, fmt.Errorf("bad capture line %q: %v", line, err)
-		}
-		if prev, ok := out[r.Name]; ok && prev != r.Layout {
-			return nil, fmt.Errorf("conflicting layouts captured for %s: [%s] vs [%s]", r.Name, prev, r.Layout)
-		}
-		out[r.Name] = r.Layout
-	}
-	return out, nil
-}
-
 // FormatBaseline renders the baseline deterministically (sorted keys,
 // one record per line) for committing.
 func FormatBaseline(baseline map[string]string) []byte {
@@ -274,20 +243,21 @@ func FormatBaseline(baseline map[string]string) []byte {
 // loadBaseline reads the baseline: the -schemafreeze.baseline flag if set,
 // else BaselineRel under the module root found by walking up from the
 // package's first frozen struct. A missing file is an empty baseline (every
-// frozen struct then reports as unregistered).
+// frozen struct then reports as unregistered). The returned name is how
+// diagnostics refer to the file: the flag value, or BaselineRel.
 func loadBaseline(pass *analysis.Pass, at token.Pos) (map[string]string, string, error) {
-	path := baselineFlag
+	path, name := baselineFlag, baselineFlag
 	if path == "" {
 		dir := filepath.Dir(pass.Fset.Position(at).Filename)
 		root := findModuleRoot(dir)
 		if root == "" {
 			return nil, "", fmt.Errorf("schemafreeze: cannot locate module root above %s (pass -schemafreeze.baseline)", dir)
 		}
-		path = filepath.Join(root, filepath.FromSlash(BaselineRel))
+		path, name = filepath.Join(root, filepath.FromSlash(BaselineRel)), BaselineRel
 	}
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return map[string]string{}, path, nil
+		return map[string]string{}, name, nil
 	}
 	if err != nil {
 		return nil, "", err
@@ -296,7 +266,7 @@ func loadBaseline(pass *analysis.Pass, at token.Pos) (map[string]string, string,
 	if err := json.Unmarshal(data, &baseline); err != nil {
 		return nil, "", fmt.Errorf("schemafreeze: parsing baseline %s: %v", path, err)
 	}
-	return baseline, path, nil
+	return baseline, name, nil
 }
 
 func findModuleRoot(dir string) string {

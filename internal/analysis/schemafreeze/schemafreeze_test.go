@@ -40,26 +40,13 @@ func TestEventExhaustiveness(t *testing.T) {
 		"itsim/internal/obs", "itsim/internal/replay", "itsim/internal/cluster")
 }
 
-// TestFreezeMode captures the fixture package's layouts and round-trips
-// them through MergeCapture/FormatBaseline: the regenerated baseline must
-// contain every frozen struct with its current layout, at which point a
-// re-check against it is clean.
+// TestFreezeMode checks the in-memory capture `itslint freeze` writes: the
+// driver's Frozen map holds every frozen struct of the fixture package with
+// its current layout and no unfrozen one, and a baseline regenerated from
+// it with FormatBaseline silences the checker.
 func TestFreezeMode(t *testing.T) {
-	capture := filepath.Join(t.TempDir(), "capture.jsonl")
-	setFlag(t, "freeze", capture)
-	if diags := atest.RunResult(t, "../testdata", schemafreeze.Analyzer, "itsim/internal/policy"); len(diags) != 0 {
-		t.Fatalf("freeze mode must not report diagnostics, got %+v", diags)
-	}
-	schemafreeze.Analyzer.Flags.Set("freeze", "")
-
-	data, err := os.ReadFile(capture)
-	if err != nil {
-		t.Fatalf("reading capture: %v", err)
-	}
-	baseline, err := schemafreeze.MergeCapture(data)
-	if err != nil {
-		t.Fatalf("merging capture: %v", err)
-	}
+	setFlag(t, "baseline", filepath.Join("..", "testdata", "frozen_fixture.json"))
+	baseline := atest.RunResult(t, "../testdata", schemafreeze.Analyzer, "itsim/internal/policy").Frozen
 	for _, name := range []string{
 		"itsim/internal/policy.Frozen",
 		"itsim/internal/policy.Drifted",
@@ -83,15 +70,25 @@ func TestFreezeMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	setFlag(t, "baseline", regenerated)
-	if diags := atest.RunResult(t, "../testdata", schemafreeze.Analyzer, "itsim/internal/policy"); len(diags) != 0 {
+	if diags := atest.RunResult(t, "../testdata", schemafreeze.Analyzer, "itsim/internal/policy").Diagnostics; len(diags) != 0 {
 		t.Fatalf("regenerated baseline must be clean, got %+v", diags)
 	}
 }
 
-// TestMergeCaptureConflict rejects two different layouts for one struct.
+// TestMergeCaptureConflict checks how the driver merges per-package
+// captures: records add up, a repeated identical record is accepted, and
+// two different layouts for one struct are rejected.
 func TestMergeCaptureConflict(t *testing.T) {
-	_, err := schemafreeze.MergeCapture([]byte(
-		`{"name":"p.S","layout":"A int"}` + "\n" + `{"name":"p.S","layout":"B int"}` + "\n"))
+	baseline := map[string]string{}
+	for _, c := range []schemafreeze.Capture{{"p.S": "A int"}, {"q.S": "B int"}, {"p.S": "A int"}} {
+		if err := schemafreeze.MergeCapture(baseline, c); err != nil {
+			t.Fatalf("merging %v: %v", c, err)
+		}
+	}
+	if len(baseline) != 2 {
+		t.Errorf("merged baseline = %v, want p.S and q.S", baseline)
+	}
+	err := schemafreeze.MergeCapture(baseline, schemafreeze.Capture{"p.S": "B int"})
 	if err == nil || !strings.Contains(err.Error(), "conflicting layouts") {
 		t.Fatalf("want conflicting-layouts error, got %v", err)
 	}

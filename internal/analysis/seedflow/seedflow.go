@@ -100,7 +100,6 @@ func run(pass *analysis.Pass) (any, error) {
 			analyzeFunc(pass, al, fd, true)
 		}
 	}
-	al.Flush("seedflow")
 	return nil, nil
 }
 

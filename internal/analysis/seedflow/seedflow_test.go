@@ -20,7 +20,7 @@ func TestSeedFlow(t *testing.T) {
 // TestSuggestedFix asserts the bare-addition diagnostic carries the
 // mechanical wrap-in-prng.Mix rewrite `itslint fix` applies.
 func TestSuggestedFix(t *testing.T) {
-	diags := atest.RunResult(t, "../testdata", seedflow.Analyzer, "itsim/internal/fault")
+	diags := atest.RunResult(t, "../testdata", seedflow.Analyzer, "itsim/internal/fault").Diagnostics
 	found := false
 	for _, d := range diags {
 		if !strings.Contains(d.Message, `bare "+" arithmetic`) {
@@ -43,7 +43,7 @@ func TestSuggestedFix(t *testing.T) {
 // deterministic-set boundary — order/wrap construct nothing, but the prng
 // fixture package itself (raw splitmix constants everywhere) must be clean.
 func TestNonDeterministicPackageClean(t *testing.T) {
-	diags := atest.RunResult(t, "../testdata", seedflow.Analyzer, "itsim/internal/prng")
+	diags := atest.RunResult(t, "../testdata", seedflow.Analyzer, "itsim/internal/prng").Diagnostics
 	if len(diags) != 0 {
 		t.Fatalf("unexpected diagnostics outside the deterministic set: %+v", diags)
 	}

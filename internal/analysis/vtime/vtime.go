@@ -84,7 +84,6 @@ func run(pass *analysis.Pass) (any, error) {
 			})
 		}
 	}
-	al.Flush("vtime")
 	return nil, nil
 }
 
