@@ -182,8 +182,14 @@ func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the activity counters without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
+// Reset empties the cache and zeroes its counters: afterwards it behaves
+// exactly like New(c.Config()), without allocating. (Tick stamps left
+// under invalid ways are never read.) A machine reset reuses its caches
+// through it.
+func (c *Cache) Reset() {
+	c.Flush()
+	c.stats = Stats{}
+}
 
 // LineOf returns the line index (address >> lineShift) for addr.
 func (c *Cache) LineOf(addr uint64) uint64 { return addr >> c.lineShift }
@@ -219,6 +225,34 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	c.stats.Misses++
 	return false
+}
+
+// LookupSlot is Contains followed, on a hit, by Access, in one scan of the
+// set: it returns the slot (set*ways + way) holding addr's line after
+// refreshing its recency and counting one access and one hit, or -1 with
+// nothing counted when the line is absent. Slots index per-line state a
+// caller keeps in an array parallel to the tags (SizeBytes/LineBytes
+// entries); InstallSlot is the matching install.
+func (c *Cache) LookupSlot(addr uint64) int {
+	line := c.LineOf(addr)
+	t := line + 1
+	s := c.setOf(line)
+	base := s * c.ways
+	set := c.tags[base : base+c.ways]
+	for w := range set {
+		if set[w] == t {
+			if c.order != nil {
+				c.order[s] = moveFront(c.order[s], uint64(w))
+			} else {
+				c.tick++
+				c.lruTick[base+w] = c.tick
+			}
+			c.stats.Accesses++
+			c.stats.Hits++
+			return base + w
+		}
+	}
+	return -1
 }
 
 // Contains reports whether addr's line is present without updating recency
@@ -372,12 +406,33 @@ func (c *Cache) AccessFill(addr uint64) (hit bool, evicted uint64, wasValid bool
 // transitions are identical to Fill's.
 func (c *Cache) FillCold(addr uint64) (evicted uint64, wasValid bool) {
 	line := c.LineOf(addr)
-	t := line + 1
 	s := c.setOf(line)
 	base := s * c.ways
 	if c.order != nil {
-		return c.installPacked(s, c.tags[base:base+c.ways], c.order[s], t)
+		return c.installPacked(s, c.tags[base:base+c.ways], c.order[s], line+1)
 	}
+	_, evicted, wasValid = c.installTick(s, base, line+1)
+	return evicted, wasValid
+}
+
+// InstallSlot is FillCold for a line LookupSlot just reported absent: it
+// returns the slot the line now occupies instead of the displaced tag.
+func (c *Cache) InstallSlot(addr uint64) int {
+	line := c.LineOf(addr)
+	s := c.setOf(line)
+	base := s * c.ways
+	if c.order != nil {
+		q := c.order[s]
+		c.installPacked(s, c.tags[base:base+c.ways], q, line+1)
+		return base + int(q>>(4*uint(c.ways-1)))
+	}
+	w, _, _ := c.installTick(s, base, line+1)
+	return base + w
+}
+
+// installTick is FillCold's tick-representation path: it installs tag t
+// into set s (slots base…base+ways-1) and returns the way it chose.
+func (c *Cache) installTick(s, base int, t uint64) (way int, evicted uint64, wasValid bool) {
 	set := c.tags[base : base+c.ways]
 	c.stats.Fills++
 	if int(c.validCount[s]) == c.ways {
@@ -396,7 +451,7 @@ func (c *Cache) FillCold(addr uint64) (evicted uint64, wasValid bool) {
 		c.tick++
 		set[victim] = t
 		lru[victim] = c.tick
-		return evicted, true
+		return victim, evicted, true
 	}
 	// The set has an invalid way; install into the first one, exactly as
 	// the full walk would choose (no valid line can outrank an invalid
@@ -412,7 +467,7 @@ func (c *Cache) FillCold(addr uint64) (evicted uint64, wasValid bool) {
 	c.tick++
 	set[victim] = t
 	c.lruTick[base+victim] = c.tick
-	return 0, false
+	return victim, 0, false
 }
 
 // Invalidate drops addr's line if present, returning whether it was present.

@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"itsim/internal/prng"
 )
 
 func smallCfg() Config {
@@ -231,4 +234,73 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}
 	}()
 	New(Config{SizeBytes: 100, LineBytes: 7, Ways: 2})
+}
+
+// driveRandom applies n random operations over 4× as many distinct lines as
+// c holds, so sets overflow and evict, and returns every observable result
+// in order: hits, victims, slots and invalidation counts, then the final
+// Stats and ValidLines.
+func driveRandom(c *Cache, seed uint64, n int) []uint64 {
+	r := prng.New(seed)
+	lines := uint64(4 * c.Config().SizeBytes / c.Config().LineBytes)
+	lineBytes := uint64(c.Config().LineBytes)
+	var out []uint64
+	b := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	for i := 0; i < n; i++ {
+		addr := r.Uint64n(lines)*lineBytes + r.Uint64n(lineBytes)
+		switch r.Intn(8) {
+		case 0:
+			out = append(out, b(c.Access(addr)))
+		case 1:
+			ev, was := c.Fill(addr)
+			out = append(out, ev, b(was))
+		case 2:
+			hit, ev, was := c.AccessFill(addr)
+			out = append(out, b(hit), ev, b(was))
+		case 3:
+			if !c.Contains(addr) {
+				ev, was := c.FillCold(addr)
+				out = append(out, ev, b(was))
+			}
+		case 4:
+			out = append(out, b(c.Invalidate(addr)))
+		case 5:
+			out = append(out, uint64(c.LookupSlot(addr)))
+		case 6:
+			if !c.Contains(addr) {
+				out = append(out, uint64(c.InstallSlot(addr)))
+			}
+		case 7:
+			k := r.Uint64n(7)
+			out = append(out, uint64(c.InvalidateMatching(func(line uint64) bool { return line%7 == k })))
+		}
+	}
+	st := c.Stats()
+	return append(out, st.Accesses, st.Hits, st.Misses, st.Evictions, st.Fills, uint64(c.ValidLines()))
+}
+
+// Property: Reset leaves nothing behind. After a random operation sequence
+// and Reset, a second sequence observes exactly what a new cache driven by
+// the second sequence alone observes — hits, victims, slots, Stats and
+// ValidLines — in both recency representations.
+func TestResetMatchesNewProperty(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 4096, LineBytes: 64, Ways: 4},  // packed order
+		{SizeBytes: 8192, LineBytes: 32, Ways: 32}, // tick stamps
+	} {
+		f := func(seed1, seed2 uint64) bool {
+			reused := New(cfg)
+			driveRandom(reused, seed1, 2000)
+			reused.Reset()
+			return reflect.DeepEqual(driveRandom(reused, seed2, 2000), driveRandom(New(cfg), seed2, 2000))
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
+	}
 }

@@ -440,6 +440,10 @@ type fleet struct {
 	machines []*machineState
 	epochs   []*metrics.Run
 	loads    []Load
+	// mach runs every epoch of every fleet machine: epochs execute
+	// eagerly, one at a time, and each Reset starts with empty caches, so
+	// one machine's caches serve the whole fleet.
+	mach smp.Machine
 
 	// Resilience state (see resilience.go).
 	chaosCfg chaos.Config // effective (defaulted) chaos knobs
@@ -456,9 +460,10 @@ func (f *fleet) want(t obs.Type) bool { return f.cfg.Tracer.Wants(t) }
 func (f *fleet) emit(ev obs.Event)    { f.cfg.Tracer.Emit(ev) }
 
 // startEpoch pops up to Slots requests from m's queue and runs them as one
-// smp batch. The run executes eagerly (its metrics and trace are produced
-// here), but in fleet time the machine stays busy until the epoch's
-// makespan elapses; completions are applied then by finishEpoch.
+// smp batch on the fleet's one machine. The run executes eagerly (its
+// metrics and trace are produced here), but in fleet time the machine stays
+// busy until the epoch's makespan elapses; completions are applied then by
+// finishEpoch.
 func (f *fleet) startEpoch(m *machineState, now sim.Time) error {
 	n := len(m.queue)
 	if s := f.cfg.slots(); n > s {
@@ -482,12 +487,11 @@ func (f *fleet) startEpoch(m *machineState, now sim.Time) error {
 	f.router.Observe(m.id, counts)
 
 	name := fmt.Sprintf("m%d/e%d", m.id, m.stats.Epochs)
-	mm, err := smp.New(f.cfg.machineConfig(dataIntensive, m.id), f.cfg.policyFactory(), name, specs)
-	if err != nil {
+	if err := f.mach.Reset(f.cfg.machineConfig(dataIntensive, m.id), f.cfg.policyFactory(), name, specs); err != nil {
 		return fmt.Errorf("cluster: epoch %s: %w", name, err)
 	}
-	mm.Instrument(f.cfg.Tracer, f.cfg.GaugeInterval)
-	run, err := mm.Run()
+	f.mach.Instrument(f.cfg.Tracer, f.cfg.GaugeInterval)
+	run, err := f.mach.Run()
 	if err != nil {
 		return fmt.Errorf("cluster: epoch %s: %w", name, err)
 	}

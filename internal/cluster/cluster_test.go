@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"itsim/internal/fault"
@@ -437,5 +438,47 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: invalid config accepted", label)
 		}
+	}
+}
+
+// TestFleetAllocPerEpoch guards the fleet's allocation against configured
+// cache capacity. One machine runs every epoch and Reset reuses its caches,
+// so an epoch allocates what its requests need rather than a new 8 MB LLC's
+// tag arrays. Doubling an ITS fleet's requests may add at most 256 KiB of
+// heap allocation per extra epoch; a new machine per epoch allocated about
+// 1.2 MiB.
+func TestFleetAllocPerEpoch(t *testing.T) {
+	const requests = 12
+	measure := func(n int) (bytes uint64, epochs int) {
+		cfg := Config{
+			Machines: 2,
+			Slots:    2,
+			Policy:   policy.ITS,
+			Routing:  LeastLoaded,
+			Scale:    0.5,
+			Tenants: []TenantSpec{
+				{Name: "alpha", Bench: workload.PageRank, Requests: n, Priority: 2, Rate: 50_000},
+				{Name: "beta", Bench: workload.Caffe, Requests: n, Priority: 1, Rate: 50_000},
+			},
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, len(res.Epochs)
+	}
+	measure(requests) // settle one-time lazy allocations
+	small, e1 := measure(requests)
+	large, e2 := measure(2 * requests)
+	if e2 <= e1 {
+		t.Fatalf("%d requests ran %d epochs, %d ran %d: no extra epochs to measure", 2*requests, e2, requests, e1)
+	}
+	perEpoch := (large - small) / uint64(e2-e1)
+	t.Logf("%d → %d epochs: %d KiB per extra epoch", e1, e2, perEpoch>>10)
+	if perEpoch > 256<<10 {
+		t.Errorf("marginal allocation %d KiB per epoch, want <= 256 KiB", perEpoch>>10)
 	}
 }

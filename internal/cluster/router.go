@@ -140,10 +140,11 @@ func leastLoadedPick(loads []Load) int {
 // localityRouter steers a tenant's requests toward machines that recently
 // served that tenant, approximating page locality: a machine whose DRAM
 // and LLC were just warmed by tenant T's working set will fault less on
-// T's next request. Each epoch is a fresh smp machine in this model, so
-// warmth is an honest proxy (queue affinity concentrates a tenant's
-// requests into shared epochs, where they really do share pages), not a
-// literal page-cache hit model — docs/FLEET.md discusses the distinction.
+// T's next request. Each epoch starts with empty caches and a fresh DRAM in
+// this model, so warmth is an honest proxy (queue affinity concentrates a
+// tenant's requests into shared epochs, where they really do share pages),
+// not a literal page-cache hit model — docs/FLEET.md discusses the
+// distinction.
 type localityRouter struct {
 	// warmth[m][ti] decays by half at each of machine m's epoch starts
 	// and grows by the number of tenant-ti requests the epoch serves.

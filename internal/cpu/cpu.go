@@ -15,6 +15,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"itsim/internal/cache"
 	"itsim/internal/sim"
 	"itsim/internal/trace"
@@ -175,18 +177,29 @@ func overlap(aAddr uint64, aSize uint8, bAddr uint64, bSize uint8) bool {
 // pre-execution. Lines come from retired pre-execute stores.
 type PreExecCache struct {
 	tags *cache.Cache
-	// invBits maps a present line to its byte-INV mask (bit i = byte i of
-	// the 64-byte line). Entries are dropped on eviction.
-	invBits   map[uint64]uint64
+	// inv holds each tag slot's byte-INV mask (bit i = byte i of the
+	// line), parallel to the tag array. Installing a line overwrites its
+	// slot's mask, so an evicted or flushed line leaves a stale mask only
+	// under an invalid tag, which no lookup returns.
+	inv       []uint64
 	lineBytes int
 }
 
+// MaxPreExecLineBytes is the widest line a pre-execute cache supports: one
+// uint64 INV mask per line holds one bit per byte.
+const MaxPreExecLineBytes = 64
+
 // NewPreExecCache builds a pre-execute cache of the given geometry (for
-// Sync_Runahead and ITS the paper uses half the 8 MB LLC).
+// Sync_Runahead and ITS the paper uses half the 8 MB LLC). Like cache.New it
+// panics on a geometry it cannot model: lines wider than
+// MaxPreExecLineBytes.
 func NewPreExecCache(cfg cache.Config) *PreExecCache {
+	if cfg.LineBytes > MaxPreExecLineBytes {
+		panic(fmt.Sprintf("cpu: pre-execute cache line of %d bytes exceeds the %d-bit INV mask", cfg.LineBytes, MaxPreExecLineBytes))
+	}
 	return &PreExecCache{
 		tags:      cache.New(cfg),
-		invBits:   make(map[uint64]uint64),
+		inv:       make([]uint64, cfg.SizeBytes/cfg.LineBytes),
 		lineBytes: cfg.LineBytes,
 	}
 }
@@ -214,42 +227,40 @@ func (p *PreExecCache) byteMask(addr uint64, size uint8) uint64 {
 
 // Write installs the bytes of a retired pre-execute store, setting or
 // clearing their INV bits according to the store's status (§3.4.2 step 3).
+// A hit counts one access and one hit; a miss counts one fill (and any
+// eviction) but no access.
 func (p *PreExecCache) Write(addr uint64, size uint8, inv bool) {
-	line := p.tags.LineOf(addr)
-	if !p.tags.Contains(addr) {
-		evicted, was := p.tags.Fill(addr)
-		if was {
-			delete(p.invBits, evicted)
-		}
+	slot := p.tags.LookupSlot(addr)
+	if slot < 0 {
+		slot = p.tags.InstallSlot(addr)
 		// A fresh line starts with every byte invalid: only the written
 		// bytes hold (possibly) valid pre-executed data.
-		p.invBits[line] = ^uint64(0)
-	} else {
-		p.tags.Access(addr) // refresh recency
+		p.inv[slot] = ^uint64(0)
 	}
 	mask := p.byteMask(addr, size)
 	if inv {
-		p.invBits[line] |= mask
+		p.inv[slot] |= mask
 	} else {
-		p.invBits[line] &^= mask
+		p.inv[slot] &^= mask
 	}
 }
 
 // Read checks whether [addr, addr+size) is present and returns
 // (present, anyByteINV). A pre-execute load that hits an INV byte is itself
-// invalid (§3.4.2 load step 2).
+// invalid (§3.4.2 load step 2). A hit counts one access and one hit; a miss
+// counts nothing.
 func (p *PreExecCache) Read(addr uint64, size uint8) (present, inv bool) {
-	if !p.tags.Contains(addr) {
+	slot := p.tags.LookupSlot(addr)
+	if slot < 0 {
 		return false, false
 	}
-	p.tags.Access(addr)
-	mask := p.byteMask(addr, size)
-	return true, p.invBits[p.tags.LineOf(addr)]&mask != 0
+	return true, p.inv[slot]&p.byteMask(addr, size) != 0
 }
 
 // Flush empties the cache (between pre-execution episodes of different
 // processes the pre-execute state is not meaningful).
-func (p *PreExecCache) Flush() {
-	p.tags.Flush()
-	p.invBits = make(map[uint64]uint64)
-}
+func (p *PreExecCache) Flush() { p.tags.Flush() }
+
+// Reset empties the cache and zeroes its counters, as a new cache of the
+// same geometry would start.
+func (p *PreExecCache) Reset() { p.tags.Reset() }

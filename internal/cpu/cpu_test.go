@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"itsim/internal/cache"
+	"itsim/internal/prng"
 	"itsim/internal/trace"
 )
 
@@ -218,6 +219,120 @@ func TestPreExecCacheWriteReadProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mapPreExec is the reference pre-execute cache: a tag-only cache plus a map
+// from present line to byte-INV mask, entries dropped on eviction and the
+// map remade on flush. The slot-indexed masks must reproduce it exactly.
+type mapPreExec struct {
+	cfg  cache.Config
+	tags *cache.Cache
+	inv  map[uint64]uint64
+}
+
+func newMapPreExec(cfg cache.Config) *mapPreExec {
+	return &mapPreExec{cfg: cfg, tags: cache.New(cfg), inv: make(map[uint64]uint64)}
+}
+
+// mask sets bit b for every byte b of [addr, addr+size) inside addr's line.
+func (m *mapPreExec) mask(addr uint64, size uint8) uint64 {
+	lb := uint64(m.cfg.LineBytes)
+	var mask uint64
+	for b := addr % lb; b < addr%lb+uint64(size) && b < lb; b++ {
+		mask |= 1 << b
+	}
+	return mask
+}
+
+func (m *mapPreExec) write(addr uint64, size uint8, inv bool) {
+	line := m.tags.LineOf(addr)
+	if !m.tags.Contains(addr) {
+		if evicted, was := m.tags.Fill(addr); was {
+			delete(m.inv, evicted)
+		}
+		m.inv[line] = ^uint64(0)
+	} else {
+		m.tags.Access(addr)
+	}
+	if inv {
+		m.inv[line] |= m.mask(addr, size)
+	} else {
+		m.inv[line] &^= m.mask(addr, size)
+	}
+}
+
+func (m *mapPreExec) read(addr uint64, size uint8) (present, inv bool) {
+	if !m.tags.Contains(addr) {
+		return false, false
+	}
+	m.tags.Access(addr)
+	return true, m.inv[m.tags.LineOf(addr)]&m.mask(addr, size) != 0
+}
+
+// TestPreExecCacheMatchesMapModel drives PreExecCache and the map model with
+// the same random Write/Read/Flush/Reset sequences over 4× as many lines as
+// the cache holds, so sets overflow and evict, and compares every Read and
+// the Stats after every operation. The geometries cover both recency
+// representations and lines narrower than the 64-bit mask.
+func TestPreExecCacheMatchesMapModel(t *testing.T) {
+	for _, cfg := range []cache.Config{
+		{SizeBytes: 512, LineBytes: 64, Ways: 2},
+		{SizeBytes: 2048, LineBytes: 16, Ways: 8},
+		{SizeBytes: 4096, LineBytes: 32, Ways: 32},
+	} {
+		lines := uint64(4 * cfg.SizeBytes / cfg.LineBytes)
+		f := func(seed uint64) bool {
+			p, m := NewPreExecCache(cfg), newMapPreExec(cfg)
+			r := prng.New(seed)
+			for i := 0; i < 3000; i++ {
+				addr := r.Uint64n(lines)*uint64(cfg.LineBytes) + r.Uint64n(uint64(cfg.LineBytes))
+				size := uint8(1 + r.Intn(16))
+				if r.Intn(16) == 0 {
+					size = uint8(1 + r.Intn(255)) // clipped at the line end
+				}
+				switch op := r.Intn(100); {
+				case op < 50:
+					inv := r.Intn(2) == 0
+					p.Write(addr, size, inv)
+					m.write(addr, size, inv)
+				case op < 96:
+					gp, gi := p.Read(addr, size)
+					wp, wi := m.read(addr, size)
+					if gp != wp || gi != wi {
+						t.Logf("%+v seed %d op %d: Read(%#x, %d) = (%v, %v), model (%v, %v)",
+							cfg, seed, i, addr, size, gp, gi, wp, wi)
+						return false
+					}
+				case op < 98:
+					p.Flush()
+					m.tags.Flush()
+					m.inv = make(map[uint64]uint64)
+				default:
+					p.Reset()
+					m = newMapPreExec(cfg)
+				}
+				if p.Stats() != m.tags.Stats() || p.ValidLines() != m.tags.ValidLines() {
+					t.Logf("%+v seed %d op %d: stats %+v, model %+v", cfg, seed, i, p.Stats(), m.tags.Stats())
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+			t.Errorf("%+v: %v", cfg, err)
+		}
+	}
+}
+
+// TestPreExecCacheRejectsWideLines: one 64-bit mask per line cannot hold the
+// INV bits of a wider line, so the constructor refuses the geometry.
+func TestPreExecCacheRejectsWideLines(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewPreExecCache accepted 128-byte lines")
+		}
+	}()
+	NewPreExecCache(cache.Config{SizeBytes: 8192, LineBytes: 128, Ways: 4})
 }
 
 func TestOverlapHelper(t *testing.T) {

@@ -17,6 +17,7 @@ import (
 
 	"itsim/internal/bus"
 	"itsim/internal/cache"
+	"itsim/internal/cpu"
 	"itsim/internal/fault"
 	"itsim/internal/mem"
 	"itsim/internal/sched"
@@ -245,6 +246,10 @@ func (c Config) Validate() error {
 	// Every policy must be runnable on the configured geometry, so the
 	// pre-execute carve-out (ITS/Sync_Runahead) must fit even if the run
 	// at hand does not use it.
+	if c.LineBytes > cpu.MaxPreExecLineBytes {
+		return fmt.Errorf("machine: %d-byte lines exceed the pre-execute cache's %d INV bits per line",
+			c.LineBytes, cpu.MaxPreExecLineBytes)
+	}
 	if _, _, err := c.PreExecPartition(c.Cores); err != nil {
 		return err
 	}

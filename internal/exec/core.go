@@ -50,7 +50,8 @@ type Core struct {
 	// Cur is the dispatched process; it stays dispatched across horizon
 	// pauses so a coordinator hand-off is not a spurious context switch.
 	Cur *Proc
-	// lastPXPid tracks whose pre-execute state the hardware holds.
+	// lastPXPid tracks whose pre-execute state the hardware holds (-1 =
+	// none yet).
 	lastPXPid int
 	// DispatchedAt is when the current dispatch put its process on the
 	// CPU, for occupancy reporting on leave events.
@@ -690,7 +691,11 @@ func clearINV(e pagetable.PTE) pagetable.PTE { return e &^ pagetable.FlagINV }
 func (c *Core) preExecute(p *Proc, faulting trace.Record, window sim.Time) {
 	s := c.S
 	if c.lastPXPid != p.PID {
-		c.PX.FlushHardware()
+		// The hardware starts empty: only another process's state needs
+		// flushing (Run resets the registers and store buffer itself).
+		if c.lastPXPid >= 0 {
+			c.PX.FlushHardware()
+		}
 		c.lastPXPid = p.PID
 	}
 	c.pxEnvFor(p, faulting)

@@ -66,7 +66,7 @@ func TestPreExecCachePartitionsWays(t *testing.T) {
 			for i := range pols {
 				pols[i] = policy.New(policy.SyncRunahead)
 			}
-			s, err := NewShared(cfg, pols, "t", specs)
+			s, err := NewShared(nil, cfg, pols, "t", specs)
 			if err != nil {
 				t.Fatalf("cores %d frac %v: %v", cores, frac, err)
 			}
@@ -103,7 +103,7 @@ func TestNewSharedValidation(t *testing.T) {
 		{"no processes", []policy.Policy{policy.New(policy.Sync)}, nil, "no processes"},
 	}
 	for _, tc := range cases {
-		_, err := NewShared(cfg, tc.pols, "t", tc.specs)
+		_, err := NewShared(nil, cfg, tc.pols, "t", tc.specs)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}

@@ -87,7 +87,13 @@ func (s *Shared) ReleasePendingIO(pio *PendingIO) {
 // (len(pols) = core count; policies are stateful, so each core needs its
 // own). Processes are assigned to cores round-robin (pid % N — with N=1,
 // all to the single core), and every core gets a metrics.Core ledger.
-func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []ProcessSpec) (*Shared, error) {
+//
+// prev is the platform of the batch before (nil = none). Its LLC, and its
+// core i's L1 and pre-execute cache, are reset and reused by core i of the
+// new platform when their geometry matches; everything else is built
+// fresh. The result is indistinguishable from a build without prev, which
+// must not be used afterwards. On error prev is untouched.
+func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string, specs []ProcessSpec) (*Shared, error) {
 	if len(pols) == 0 {
 		return nil, errors.New("exec: no policy instances")
 	}
@@ -149,6 +155,13 @@ func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []Proce
 		frames = 64
 	}
 
+	// The caches prev offers for reuse (none without prev).
+	var oldLLC *cache.Cache
+	var oldCores []*Core
+	if prev != nil {
+		oldLLC, oldCores = prev.LLC, prev.Cores
+	}
+
 	link := bus.New(cfg.BusLanes, cfg.LaneBandwidth)
 	dev := storage.New(cfg.Device, link)
 	if cfg.Fault.Enabled() {
@@ -157,7 +170,7 @@ func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []Proce
 	s := &Shared{
 		Cfg:       cfg,
 		Krn:       kernel.New(mem.NewDRAM(frames, cfg.Replacement), dev),
-		LLC:       cache.New(cache.Config{SizeBytes: llcSize, LineBytes: cfg.LineBytes, Ways: llcWays}),
+		LLC:       reuseCache(oldLLC, cache.Config{SizeBytes: llcSize, LineBytes: cfg.LineBytes, Ways: llcWays}),
 		Run:       metrics.NewRun(pols[0].Name(), batchName),
 		Inflight:  make(map[InflightKey]sim.Time),
 		instShift: instShift,
@@ -179,19 +192,27 @@ func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []Proce
 	}
 
 	for i := 0; i < n; i++ {
+		var oldL1 *cache.Cache
+		var oldPX *cpu.PreExecCache
+		if i < len(oldCores) {
+			oldL1 = oldCores[i].L1
+			if oldCores[i].PX != nil {
+				oldPX = oldCores[i].PX.PXC
+			}
+		}
 		c := &Core{
 			S:         s,
 			ID:        i,
 			Eng:       &sim.Engine{},
 			Sch:       sched.New(),
-			L1:        cache.New(cache.Config{SizeBytes: cfg.L1Size, LineBytes: cfg.LineBytes, Ways: cfg.L1Ways}),
+			L1:        reuseCache(oldL1, cache.Config{SizeBytes: cfg.L1Size, LineBytes: cfg.LineBytes, Ways: cfg.L1Ways}),
 			Pol:       pols[i],
 			Aud:       obs.NewAuditor(),
 			Met:       s.Run.AddCore(i),
 			lastPXPid: -1,
 		}
 		if pxSize > 0 {
-			c.PX = preexec.New(cpu.NewPreExecCache(cache.Config{
+			c.PX = preexec.New(reusePreExecCache(oldPX, cache.Config{
 				SizeBytes: pxSize, LineBytes: cfg.LineBytes, Ways: pxWays,
 			}))
 		}
@@ -228,6 +249,25 @@ func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []Proce
 	s.warmStart(cfg.WarmFraction, frames)
 	s.RefreshWant()
 	return s, nil
+}
+
+// reuseCache returns old, reset, when it has geometry cfg, and a new cache
+// otherwise.
+func reuseCache(old *cache.Cache, cfg cache.Config) *cache.Cache {
+	if old == nil || old.Config() != cfg {
+		return cache.New(cfg)
+	}
+	old.Reset()
+	return old
+}
+
+// reusePreExecCache is reuseCache for a pre-execute cache.
+func reusePreExecCache(old *cpu.PreExecCache, cfg cache.Config) *cpu.PreExecCache {
+	if old == nil || old.Config() != cfg {
+		return cpu.NewPreExecCache(cfg)
+	}
+	old.Reset()
+	return old
 }
 
 // warmSetter is implemented by workloads that can enumerate their working

@@ -48,39 +48,55 @@ import (
 )
 
 // Machine is the N-core platform executing one batch under one policy: a
-// shared exec platform plus the coordinator state in this package.
+// shared exec platform plus the coordinator state in this package. The zero
+// Machine holds no batch; Reset loads one.
 type Machine struct {
 	s *exec.Shared
 }
 
-// New builds an N-core machine (N = cfg.Cores; 0 means 1). newPolicy must
-// return a fresh policy instance per call — policies are stateful and each
-// core runs its own. Configuration problems come back as errors, not
-// panics: this is the path user input (the -cores flag) reaches.
+// New builds an N-core machine (N = cfg.Cores; 0 means 1): Reset on a zero
+// Machine.
 func New(cfg machine.Config, newPolicy func() policy.Policy, batchName string, specs []machine.ProcessSpec) (*Machine, error) {
+	m := &Machine{}
+	if err := m.Reset(cfg, newPolicy, batchName, specs); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Reset loads a new batch into m, leaving it as New would build it.
+// newPolicy must return a fresh policy instance per call — policies are
+// stateful and each core runs its own. The caches of m's previous batch whose geometry is
+// unchanged are emptied and reused rather than reallocated, so nothing
+// carries over between batches; everything else is built fresh, and the
+// previous batch's accessors (Kernel, LLC, Auditors) must not be used
+// afterwards. Configuration problems come back as errors, not panics, and
+// leave m unchanged: this is the path user input (the -cores flag) reaches.
+func (m *Machine) Reset(cfg machine.Config, newPolicy func() policy.Policy, batchName string, specs []machine.ProcessSpec) error {
 	if newPolicy == nil {
-		return nil, errors.New("smp: nil policy factory")
+		return errors.New("smp: nil policy factory")
 	}
 	if len(specs) == 0 {
-		return nil, errors.New("smp: no processes")
+		return errors.New("smp: no processes")
 	}
 	if cfg.Cores == 0 {
 		cfg.Cores = 1
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	pols := make([]policy.Policy, cfg.Cores)
 	for i := range pols {
 		if pols[i] = newPolicy(); pols[i] == nil {
-			return nil, errors.New("smp: policy factory returned nil")
+			return errors.New("smp: policy factory returned nil")
 		}
 	}
-	s, err := exec.NewShared(cfg, pols, batchName, specs)
+	s, err := exec.NewShared(m.s, cfg, pols, batchName, specs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Machine{s: s}, nil
+	m.s = s
+	return nil
 }
 
 // Instrument attaches an event tracer and, when gaugeEvery > 0, a periodic

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"itsim/internal/cache"
 	"itsim/internal/machine"
 	"itsim/internal/metrics"
 	"itsim/internal/policy"
@@ -298,6 +299,11 @@ func TestNewErrors(t *testing.T) {
 			return cfg
 		}(), factory(policy.Sync), "power of two"},
 		{"carve-out too small", testConfig(16), factory(policy.Sync), "pre-execute"},
+		{"128-byte lines", func() machine.Config {
+			cfg := testConfig(1)
+			cfg.LineBytes = 128
+			return cfg
+		}(), factory(policy.Sync), "pre-execute cache"},
 		{"nil factory", testConfig(2), nil, "factory"},
 	}
 	for _, tc := range cases {
@@ -310,6 +316,68 @@ func TestNewErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestResetMatchesNew loads one machine with a sequence of batches that
+// turns the pre-execute cache on and off and changes the DRAM ratio and the
+// core count, so Reset both reuses and rebuilds caches. Each run's summary
+// must equal that of a new machine built for the same batch, byte for byte.
+func TestResetMatchesNew(t *testing.T) {
+	steps := []struct {
+		kind      policy.Kind
+		cores     int
+		dramRatio float64
+		reuseLLC  bool // the LLC geometry equals the previous batch's
+	}{
+		{policy.ITS, 1, 0.75, false},
+		{policy.ITS, 1, 0.5, true},
+		{policy.Sync, 1, 0.75, false}, // no carve-out: a 16-way LLC
+		{policy.Async, 1, 0.9, true},
+		{policy.ITS, 2, 0.6, false}, // two 4-way carve-outs, an 8-way LLC
+		{policy.SyncRunahead, 2, 0.75, true},
+		{policy.ITS, 4, 0.75, true}, // 2-way carve-outs: new caches
+		{policy.ITS, 1, 0.75, true}, // an 8-way carve-out: new cache
+		{policy.ITS, 1, 0.75, true},
+	}
+	run := func(m *smp.Machine) string {
+		r, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return summaryJSON(t, r)
+	}
+	var m smp.Machine
+	for i, st := range steps {
+		cfg := testConfig(st.cores)
+		cfg.DRAMRatio = st.dramRatio
+		var prevLLC *cache.Cache
+		if i > 0 {
+			prevLLC = m.LLC()
+		}
+		if err := m.Reset(cfg, factory(st.kind), "2_Data_Intensive", testSpecs(t, 0.01)); err != nil {
+			t.Fatalf("step %d: Reset: %v", i, err)
+		}
+		if reused := m.LLC() == prevLLC; reused != st.reuseLLC {
+			t.Errorf("step %d (%v, %d cores): LLC reused = %v, want %v", i, st.kind, st.cores, reused, st.reuseLLC)
+		}
+		got := run(&m)
+		fresh, err := smp.New(cfg, factory(st.kind), "2_Data_Intensive", testSpecs(t, 0.01))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := run(fresh); got != want {
+			t.Errorf("step %d (%v, %d cores, DRAM ratio %v): reset machine diverged from a new one\n reset: %s\n   new: %s",
+				i, st.kind, st.cores, st.dramRatio, got, want)
+		}
+	}
+	// A rejected batch leaves the machine as it was.
+	llc := m.LLC()
+	if err := m.Reset(testConfig(-1), factory(policy.ITS), "bad", testSpecs(t, 0.01)); err == nil {
+		t.Fatal("Reset accepted a negative core count")
+	}
+	if m.LLC() != llc {
+		t.Error("a failed Reset replaced the machine's platform")
 	}
 }
 

@@ -22,6 +22,10 @@ const (
 // MiB is 2^20 bytes.
 const MiB = 1 << 20
 
+// profiles is baseProfiles' table, built once and never mutated:
+// ProfileFor copies entries out of it.
+var profiles = baseProfiles()
+
 // baseProfiles returns the nine benchmark profiles at scale 1.0. Footprints
 // and record counts shrink/grow with scale so tests can run the same shapes
 // cheaply. Each profile's comment states the access-pattern class it
@@ -137,7 +141,7 @@ func ProfileFor(name string, scale float64) (Profile, error) {
 	if scale <= 0 {
 		return Profile{}, fmt.Errorf("workload: non-positive scale %v", scale)
 	}
-	p, ok := baseProfiles()[name]
+	p, ok := profiles[name]
 	if !ok {
 		return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
 	}

@@ -28,6 +28,23 @@ func TestUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// TestProfileForAllocatesNothing: a fleet looks a profile up once per
+// request, so the lookup reads a table built once instead of rebuilding it.
+// Scaling a copy must not disturb the table either.
+func TestProfileForAllocatesNothing(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ProfileFor(PageRank, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ProfileFor allocates %v times per call, want 0", n)
+	}
+	full, _ := ProfileFor(PageRank, 1.0)
+	if full.FootprintBytes != 80*MiB {
+		t.Errorf("PageRank footprint at scale 1 = %d, want %d after scaled lookups", full.FootprintBytes, 80*MiB)
+	}
+}
+
 func TestDeterministicStreams(t *testing.T) {
 	a := MustGenerator(RandomWalk, 0.02)
 	b := MustGenerator(RandomWalk, 0.02)
