@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"itsim/internal/core"
+	"itsim/internal/exec"
 	"itsim/internal/machine"
 	"itsim/internal/policy"
 	"itsim/internal/workload"
@@ -17,7 +18,7 @@ func ablate(batchName string, scale, dram float64, degree int) {
 	}
 	cfg := machine.DefaultConfig()
 	cfg.DRAMRatio = dram
-	cfg.MinSlice, cfg.MaxSlice = core.SliceRange(scale)
+	cfg.MinSlice, cfg.MaxSlice = exec.SliceRange(scale)
 	opts := core.Options{Scale: scale, Machine: &cfg}
 	variants := []struct {
 		name string

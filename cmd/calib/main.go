@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"itsim/internal/core"
+	"itsim/internal/exec"
 	"itsim/internal/machine"
 	"itsim/internal/policy"
 )
@@ -26,7 +27,7 @@ func main() {
 
 	cfg := machine.DefaultConfig()
 	cfg.DRAMRatio = *dram
-	cfg.MinSlice, cfg.MaxSlice = core.SliceRange(*scale)
+	cfg.MinSlice, cfg.MaxSlice = exec.SliceRange(*scale)
 	opts := core.Options{
 		Scale:   *scale,
 		Machine: &cfg,

@@ -54,12 +54,56 @@ func TestRunMode(t *testing.T) {
 	if want := "itslint: clean, no //itslint:allow suppressions\n"; code != 0 || errOut != want {
 		t.Errorf("itslint run ./internal/smp: exit %d, stderr %q, want exit 0 and %q", code, errOut, want)
 	}
+
+	// The deterministic set does not depend on the patterns: cpu is in it
+	// because smp imports it, also when cpu is the only package named. On
+	// a copy of the module, a map range added to cpu fails the lint.
+	dir := copyModule(t)
+	maprange := "package cpu\n\nfunc sum(m map[int]int) (n int) {\n\tfor _, v := range m {\n\t\tn += v\n\t}\n\treturn n\n}\n"
+	if err := os.WriteFile(filepath.Join(dir, "internal", "cpu", "maprange.go"), []byte(maprange), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, errOut = runIn(t, dir, bin, "run", "./internal/cpu")
+	if code != 1 || !strings.Contains(errOut, "internal/cpu/maprange.go:4:2: range over map map[int]int in deterministic package itsim/internal/cpu") {
+		t.Errorf("itslint run ./internal/cpu with a map range: exit %d, want 1 and the range reported:\n%s", code, errOut)
+	}
+}
+
+// copyModule copies what the simulator packages need of this module —
+// go.mod, vendor/ and internal/ without the analyzers — into a temp dir.
+func copyModule(t *testing.T) string {
+	t.Helper()
+	root, dir := repoRoot(t), t.TempDir()
+	for _, sub := range []string{"go.mod", "vendor", "internal"} {
+		err := filepath.WalkDir(filepath.Join(root, sub), func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "analysis" {
+				return filepath.SkipDir
+			}
+			rel, _ := filepath.Rel(root, path)
+			if d.IsDir() {
+				return os.MkdirAll(filepath.Join(dir, rel), 0o755)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }
 
 // writeFixtureModule lays out a throwaway `module itsim` tree containing a
 // deterministic-set package with one fixable seedflow violation and one
 // //itslint:allow-suppressed violation, plus the prng package the suggested
-// fix rewrites into. extra adds or replaces files (path → content).
+// fix rewrites into and a stub simulator root, smp, that puts chaos in the
+// deterministic set. extra adds or replaces files (path → content).
 func writeFixtureModule(t *testing.T, extra map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -84,6 +128,11 @@ func Mix(parts ...uint64) uint64 {
 	}
 	return h
 }
+`,
+		"internal/smp/smp.go": `// Package smp is the fixture module's simulator root.
+package smp
+
+import _ "itsim/internal/chaos"
 `,
 		"internal/chaos/chaos.go": `// Package chaos is a deterministic-set fixture for the fix/budget drivers.
 package chaos
@@ -265,11 +314,11 @@ func TestSarifFixBudget(t *testing.T) {
 	}
 }
 
-// flowFiles extend the fixture module with the lib/order → lib/wrap →
+// chainFiles extend the fixture module with the lib/order → lib/wrap →
 // chaos map-order laundering of internal/analysis/testdata and one
 // //itslint:frozen struct.
-var flowFiles = map[string]string{
-	"internal/lib/order/order.go": `// Package order is a helper outside the deterministic set.
+var chainFiles = map[string]string{
+	"internal/lib/order/order.go": `// Package order is a helper that no list names.
 package order
 
 // Keys returns m's keys in Go's per-run randomized map order.
@@ -320,13 +369,14 @@ type Summary struct {
 }
 
 // TestFactsAndFreeze runs the built binary where only the production
-// driver is in play: facts must carry the map-order taint from lib/order
-// through lib/wrap into chaos, `freeze` must write the module's frozen
-// struct to its baseline and be a fixed point, and the real tree must come
-// up clean with exactly its three committed suppressions.
+// driver is in play: the derived set must follow the imports smp → chaos →
+// lib/wrap → lib/order so that lib/order's map range is reported, `freeze`
+// must write the module's frozen struct to its baseline and be a fixed
+// point, and the real tree must come up clean with exactly its three
+// committed suppressions.
 func TestFactsAndFreeze(t *testing.T) {
 	bin := buildItslint(t)
-	dir := writeFixtureModule(t, flowFiles)
+	dir := writeFixtureModule(t, chainFiles)
 
 	code, stdout, stderr := runIn(t, dir, bin, "run", "-format", "sarif", "./...")
 	if code != 1 {
@@ -336,16 +386,16 @@ func TestFactsAndFreeze(t *testing.T) {
 	if err := json.Unmarshal([]byte(stdout), &log); err != nil || len(log.Runs) != 1 {
 		t.Fatalf("SARIF output does not parse (%v):\n%s", err, stdout)
 	}
-	laundered := false
+	reported := false
 	for _, r := range log.Runs[0].Results {
 		if r.RuleID == "entropyflow" &&
-			r.Locations[0].PhysicalLocation.ArtifactLocation.URI == "internal/chaos/flow.go" &&
-			strings.Contains(r.Message.Text, "map iteration order (via itsim/internal/lib/order.Keys) flows into PRNG seed") {
-			laundered = true
+			r.Locations[0].PhysicalLocation.ArtifactLocation.URI == "internal/lib/order/order.go" &&
+			strings.Contains(r.Message.Text, "range over map map[string]int in deterministic package itsim/internal/lib/order") {
+			reported = true
 		}
 	}
-	if !laundered {
-		t.Errorf("run did not report the laundered map order in internal/chaos/flow.go:\n%s", stdout)
+	if !reported {
+		t.Errorf("run did not report the map range in internal/lib/order/order.go:\n%s", stdout)
 	}
 
 	if code, stdout, stderr = runIn(t, dir, bin, "freeze", "./..."); code != 0 {

@@ -30,6 +30,7 @@ import (
 	"text/tabwriter"
 
 	"itsim/internal/core"
+	"itsim/internal/exec"
 	"itsim/internal/machine"
 	"itsim/internal/policy"
 	"itsim/internal/workload"
@@ -39,7 +40,7 @@ import (
 // slices and the DRAM ratio overridden.
 func coreMachineConfig(scale, dramRatio float64) machine.Config {
 	cfg := machine.DefaultConfig()
-	cfg.MinSlice, cfg.MaxSlice = core.SliceRange(scale)
+	cfg.MinSlice, cfg.MaxSlice = exec.SliceRange(scale)
 	cfg.DRAMRatio = dramRatio
 	return cfg
 }

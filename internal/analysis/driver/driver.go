@@ -6,6 +6,11 @@
 // frozen layouts; a dependency that is not itself a root contributes facts
 // and nothing else.
 //
+// The driver also derives the deterministic set: the in-module import
+// closure of itslint.SimulatorRoots. It lists those roots on every run,
+// whichever packages the patterns name, and answers itslint.Deterministic
+// for each pass through Pass.ImportPackageFact.
+//
 // Packages are resolved in one of two ways. Run asks `go list -deps`, so
 // patterns such as ./..., ./internal/sched and itsim/... keep go's exact
 // semantics. RunGOPATH reads a GOPATH-style fixture tree
@@ -75,40 +80,59 @@ func (r *Result) PerAnalyzer() (perAnalyzer map[string]int, total int) {
 	return perAnalyzer, total
 }
 
-// pkgSpec is one package to load: its import path, its source files, and
-// whether it was named (a root) or only imported.
+// pkgSpec is one package to load: its import path, its source files, the
+// paths it imports, and whether it was named (a root) or only imported.
 type pkgSpec struct {
-	path  string
-	files []string
-	root  bool
+	path    string
+	files   []string
+	imports []string
+	root    bool
 }
 
 // Run loads the packages matching patterns in the module of the working
-// directory, and their dependencies, and runs the analyzers over them.
+// directory, and their dependencies, and runs the analyzers over them. The
+// simulator roots are listed too, to derive the deterministic set; a root
+// the module lacks is skipped.
 func Run(analyzers []*analysis.Analyzer, patterns ...string) (*Result, error) {
-	cmd := exec.Command("go", append([]string{"list", "-deps", "-json=ImportPath,Dir,GoFiles,Standard,DepOnly"}, patterns...)...)
+	args := []string{"list", "-e", "-deps", "-json=ImportPath,Dir,GoFiles,Imports,Standard,Match,Error"}
+	cmd := exec.Command("go", append(append(args, patterns...), itslint.SimulatorRoots...)...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
 		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.Bytes())
 	}
+	named := make(map[string]bool)
+	for _, p := range patterns {
+		named[p] = true
+	}
 	var specs []pkgSpec
 	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 		var p struct {
-			ImportPath, Dir   string
-			GoFiles           []string
-			Standard, DepOnly bool
+			ImportPath, Dir string
+			GoFiles         []string
+			Imports, Match  []string
+			Standard        bool
+			Error           *struct{ Err string }
 		}
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("go list: %v", err)
 		}
+		spec := pkgSpec{path: p.ImportPath, imports: p.Imports}
+		for _, m := range p.Match {
+			spec.root = spec.root || named[m]
+		}
+		if p.Error != nil {
+			if p.Dir == "" && !spec.root && len(p.Match) > 0 {
+				continue // a simulator root this module does not have
+			}
+			return nil, fmt.Errorf("go list: %s", p.Error.Err)
+		}
 		if p.Standard || len(p.GoFiles) == 0 {
 			continue
 		}
-		spec := pkgSpec{path: p.ImportPath, root: !p.DepOnly}
 		for _, f := range p.GoFiles {
 			spec.files = append(spec.files, filepath.Join(p.Dir, f))
 		}
@@ -119,11 +143,17 @@ func Run(analyzers []*analysis.Analyzer, patterns ...string) (*Result, error) {
 
 // RunGOPATH runs the analyzers over the packages gopath/src/<path>. Their
 // imports resolve in the tree first and in the standard library otherwise.
+// The simulator roots present in the tree are loaded too, to derive the
+// deterministic set.
 func RunGOPATH(gopath string, analyzers []*analysis.Analyzer, paths ...string) (*Result, error) {
 	var specs []pkgSpec
 	isRoot := make(map[string]bool)
 	for _, path := range paths {
 		isRoot[path] = true
+	}
+	inTree := func(path string) bool {
+		info, err := os.Stat(filepath.Join(gopath, "src", filepath.FromSlash(path)))
+		return err == nil && info.IsDir()
 	}
 	seen := make(map[string]bool)
 	var visit func(path string) error
@@ -150,10 +180,11 @@ func RunGOPATH(gopath string, analyzers []*analysis.Analyzer, paths ...string) (
 			}
 			for _, imp := range f.Imports {
 				ipath, _ := strconv.Unquote(imp.Path.Value)
-				if info, err := os.Stat(filepath.Join(gopath, "src", filepath.FromSlash(ipath))); err == nil && info.IsDir() {
+				if inTree(ipath) {
 					if err := visit(ipath); err != nil {
 						return err
 					}
+					spec.imports = append(spec.imports, ipath)
 				}
 			}
 			spec.files = append(spec.files, file)
@@ -169,11 +200,44 @@ func RunGOPATH(gopath string, analyzers []*analysis.Analyzer, paths ...string) (
 			return nil, err
 		}
 	}
+	for _, path := range itslint.SimulatorRoots {
+		if inTree(path) {
+			if err := visit(path); err != nil {
+				return nil, err
+			}
+		}
+	}
 	return analyze(specs, analyzers)
 }
 
-// analyze type-checks the packages in order (each after its dependencies)
-// and runs the analyzers on them.
+// closure returns the paths of the specs reachable from the given paths
+// through imports, the starting paths included.
+func closure(specs []pkgSpec, from []string) map[string]bool {
+	imports := make(map[string][]string, len(specs))
+	for _, s := range specs {
+		imports[s.path] = s.imports
+	}
+	reached := make(map[string]bool)
+	var walk func(path string)
+	walk = func(path string) {
+		if _, ok := imports[path]; !ok || reached[path] {
+			return
+		}
+		reached[path] = true
+		for _, imp := range imports[path] {
+			walk(imp)
+		}
+	}
+	for _, path := range from {
+		walk(path)
+	}
+	return reached
+}
+
+// analyze type-checks the roots and their dependencies in order (each after
+// its own dependencies) and runs the analyzers on them. specs may list more
+// packages than that: those only extend the import graph the deterministic
+// set is derived from.
 func analyze(specs []pkgSpec, analyzers []*analysis.Analyzer) (*Result, error) {
 	if err := analysis.Validate(analyzers); err != nil {
 		return nil, err
@@ -195,8 +259,19 @@ func analyze(specs []pkgSpec, analyzers []*analysis.Analyzer) (*Result, error) {
 	sizes := types.SizesFor("gc", runtime.GOARCH)
 	facts := make(map[factKey]analysis.Fact)
 	res := &Result{Fset: fset, Suppressed: make(map[Key]int), Frozen: make(map[string]string)}
+	det := closure(specs, itslint.SimulatorRoots)
+	var roots []string
+	for _, spec := range specs {
+		if spec.root {
+			roots = append(roots, spec.path)
+		}
+	}
+	needed := closure(specs, roots)
 
 	for _, spec := range specs {
+		if !needed[spec.path] {
+			continue
+		}
 		var files []*ast.File
 		var errs []error
 		for _, name := range spec.files {
@@ -256,6 +331,10 @@ func analyze(specs []pkgSpec, analyzers []*analysis.Analyzer) (*Result, error) {
 						reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
 					}
 					return ok
+				},
+				ImportPackageFact: func(p *types.Package, fact analysis.Fact) bool {
+					_, ok := fact.(*itslint.DeterministicFact)
+					return ok && det[p.Path()]
 				},
 				ExportObjectFact: func(obj types.Object, fact analysis.Fact) {
 					if obj.Pkg() != pkg {

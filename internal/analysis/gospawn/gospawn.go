@@ -40,7 +40,7 @@ const hostParallelFunc = "runJobs"
 
 func run(pass *analysis.Pass) (any, error) {
 	path := pass.Pkg.Path()
-	if !itslint.Deterministic(path) && path != hostParallelPkg {
+	if !itslint.Deterministic(pass) && path != hostParallelPkg {
 		return nil, nil
 	}
 	al := itslint.Scan(pass)

@@ -1,7 +1,8 @@
 // Package itslint holds the shared machinery of the simulator's custom
-// go/analysis passes: the deterministic-package set every analyzer scopes
-// itself to, the //itslint:allow suppression directive, and the suppression
-// summary and budget `itslint run` prints and enforces.
+// go/analysis passes: the rule that derives the deterministic package set
+// every analyzer scopes itself to, the //itslint:allow suppression
+// directive, and the suppression summary and budget `itslint run` prints
+// and enforces.
 //
 // Every result this repository reports rests on bit-exact determinism: the
 // same seed must produce byte-identical summaries across repeats and under
@@ -14,7 +15,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,100 +22,34 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// deterministicPkgs is the set of import paths whose code must be bit-exact
-// reproducible: one stray wall-clock read, global-rand draw, env-dependent
-// branch or map-order iteration in any of them can silently break replay,
-// `itsbench diff`, and the per-core conservation ledger.
-var deterministicPkgs = map[string]bool{
-	// The event core joined the set with the calendar queue: its bucket
-	// walk and free lists are pure slice code today, and a map-range or
-	// wall-clock read slipping in would scramble same-time event order —
-	// the exact invariant every equivalence suite anchors on.
-	"itsim/internal/sim":      true,
-	"itsim/internal/exec":     true,
-	"itsim/internal/smp":      true,
-	"itsim/internal/kernel":   true,
-	"itsim/internal/storage":  true,
-	"itsim/internal/fault":    true,
-	"itsim/internal/policy":   true,
-	"itsim/internal/sched":    true,
-	"itsim/internal/cache":    true,
-	"itsim/internal/preexec":  true,
-	"itsim/internal/prefetch": true,
-	"itsim/internal/obs":      true,
-	"itsim/internal/metrics":  true,
-	"itsim/internal/replay":   true,
-	"itsim/internal/workload": true,
-	"itsim/internal/cluster":  true,
-	// Chaos schedules are replayed byte-for-byte by the CI chaos-
-	// determinism job: any nondeterminism here reshuffles machine
-	// failures across identically-seeded runs.
-	"itsim/internal/chaos": true,
-}
+// SimulatorRoots are the packages every simulated run enters through: the
+// machine (smp), the fleet (cluster) and trace replay (replay). The
+// deterministic set is their in-module import closure, which the driver
+// derives from the import graph on every run. A package the simulator can
+// call is therefore checked from the moment it is imported, and no helper
+// outside the set can hand entropy to code inside it.
+var SimulatorRoots = []string{"itsim/internal/smp", "itsim/internal/cluster", "itsim/internal/replay"}
 
-// Deterministic reports whether the import path belongs to the simulator's
-// deterministic core.
-func Deterministic(path string) bool { return deterministicPkgs[path] }
+// DeterministicFact is the package fact the driver answers for every
+// package of the deterministic set. Analyzers read it through
+// Deterministic.
+type DeterministicFact struct{}
+
+func (*DeterministicFact) AFact() {}
+
+// Deterministic reports whether the pass's package belongs to the
+// deterministic set, where one stray wall-clock read, global-rand draw,
+// env-dependent branch or map-order iteration can silently break replay,
+// `itsbench diff` and the per-core conservation ledger.
+func Deterministic(pass *analysis.Pass) bool {
+	return pass.ImportPackageFact(pass.Pkg, new(DeterministicFact))
+}
 
 // IsTestFile reports whether the node's file is a _test.go file. The
 // determinism invariants bind the simulator, not its tests — tests iterate
 // maps and read wall clocks freely — so every analyzer skips test files.
 func IsTestFile(pass *analysis.Pass, pos token.Pos) bool {
 	return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
-}
-
-// EntropySources maps package path → function name → the nondeterminism
-// class a call introduces. entropyflow uses it twice: its source ban
-// reports the calls outright in the deterministic set, and its flow check
-// treats their results as taint everywhere, so a wall-clock read or
-// global-rand draw laundered through a helper package is still caught when
-// it reaches sim-visible state.
-var EntropySources = map[string]map[string]string{
-	"time": {
-		"Now":   "wall-clock read",
-		"Since": "wall-clock read",
-		"Until": "wall-clock read",
-	},
-	"math/rand": {
-		"Int": "global math/rand source", "Intn": "global math/rand source",
-		"Int31": "global math/rand source", "Int31n": "global math/rand source",
-		"Int63": "global math/rand source", "Int63n": "global math/rand source",
-		"Uint32": "global math/rand source", "Uint64": "global math/rand source",
-		"Float32": "global math/rand source", "Float64": "global math/rand source",
-		"ExpFloat64": "global math/rand source", "NormFloat64": "global math/rand source",
-		"Perm": "global math/rand source", "Shuffle": "global math/rand source",
-		"Seed": "global math/rand source", "Read": "global math/rand source",
-	},
-	"math/rand/v2": {
-		"Int": "global math/rand/v2 source", "IntN": "global math/rand/v2 source",
-		"Int32": "global math/rand/v2 source", "Int32N": "global math/rand/v2 source",
-		"Int64": "global math/rand/v2 source", "Int64N": "global math/rand/v2 source",
-		"Uint32": "global math/rand/v2 source", "Uint32N": "global math/rand/v2 source",
-		"Uint64": "global math/rand/v2 source", "Uint64N": "global math/rand/v2 source",
-		"N": "global math/rand/v2 source", "Float32": "global math/rand/v2 source",
-		"Float64": "global math/rand/v2 source", "Perm": "global math/rand/v2 source",
-		"Shuffle": "global math/rand/v2 source", "ExpFloat64": "global math/rand/v2 source",
-		"NormFloat64": "global math/rand/v2 source",
-	},
-	"os": {
-		"Getenv":    "environment-dependent behaviour",
-		"LookupEnv": "environment-dependent behaviour",
-		"Environ":   "environment-dependent behaviour",
-		"ExpandEnv": "environment-dependent behaviour",
-	},
-}
-
-// EntropySource reports whether fn is one of the banned nondeterminism
-// introducers, and the class it belongs to.
-func EntropySource(fn *types.Func) (why string, ok bool) {
-	if fn == nil || fn.Pkg() == nil {
-		return "", false
-	}
-	if sig, sok := fn.Type().(*types.Signature); !sok || sig.Recv() != nil {
-		return "", false // method call (e.g. a seeded *rand.Rand) — deterministic
-	}
-	why, ok = EntropySources[fn.Pkg().Path()][fn.Name()]
-	return why, ok
 }
 
 // prefix is the directive that suppresses an itslint diagnostic.
@@ -249,12 +183,6 @@ func (al *Allows) allowed(pos token.Pos) *Directive {
 	}
 	return nil
 }
-
-// Sanctioned reports whether a justified allow directive covers pos,
-// WITHOUT counting a suppression. entropyflow's flow check uses it to
-// sanitize taint at source sites its source ban already arbitrates, so one
-// directive is counted once.
-func (al *Allows) Sanctioned(pos token.Pos) bool { return al.allowed(pos) != nil }
 
 // Report files the diagnostic, marked Suppressed when a justified
 // //itslint:allow directive covers pos.

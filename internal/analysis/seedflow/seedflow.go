@@ -25,9 +25,10 @@
 //
 // Seed-forwarding helpers (func newStream(rate, seed) { prng.New(seed) })
 // are followed through a SeedArg fact, so the shape check lands on the
-// caller's argument — across packages — exactly like entropyflow's taint.
-// Functions annotated //itslint:seedmixer are exempt inside (a mixer's body
-// is raw arithmetic by design); their fact still exports.
+// caller's argument, across packages. SeedArg is the suite's only fact
+// type, which is why the driver runs seedflow on every dependency of the
+// named packages. Functions annotated //itslint:seedmixer are exempt inside
+// (a mixer's body is raw arithmetic by design); their fact still exports.
 package seedflow
 
 import (
@@ -69,7 +70,7 @@ const prngPath = "itsim/internal/prng"
 
 func run(pass *analysis.Pass) (any, error) {
 	al := itslint.Scan(pass)
-	det := itslint.Deterministic(pass.Pkg.Path())
+	det := itslint.Deterministic(pass)
 
 	var funcs []*ast.FuncDecl
 	for _, f := range pass.Files {

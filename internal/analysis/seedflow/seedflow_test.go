@@ -1,6 +1,9 @@
 package seedflow_test
 
 import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,11 +43,29 @@ func TestSuggestedFix(t *testing.T) {
 }
 
 // TestNonDeterministicPackageClean: the shape rules stop at the
-// deterministic-set boundary — order/wrap construct nothing, but the prng
-// fixture package itself (raw splitmix constants everywhere) must be clean.
+// deterministic-set boundary — cmd/clitool is outside it, so its literal
+// seed is not reported.
 func TestNonDeterministicPackageClean(t *testing.T) {
-	diags := atest.RunResult(t, "../testdata", seedflow.Analyzer, "itsim/internal/prng").Diagnostics
+	diags := atest.RunResult(t, "../testdata", seedflow.Analyzer, "itsim/cmd/clitool").Diagnostics
 	if len(diags) != 0 {
 		t.Fatalf("unexpected diagnostics outside the deterministic set: %+v", diags)
+	}
+}
+
+// TestFactRoundTrip proves SeedArg survives gob, as the go/analysis Fact
+// contract requires of every fact (the in-process driver copies facts
+// without serializing them, so this test is what keeps the contract).
+func TestFactRoundTrip(t *testing.T) {
+	sent := &seedflow.SeedArg{Params: []int{0, 2}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(sent); err != nil {
+		t.Fatalf("encoding: %v", err)
+	}
+	got := new(seedflow.SeedArg)
+	if err := gob.NewDecoder(&buf).Decode(got); err != nil {
+		t.Fatalf("decoding: %v", err)
+	}
+	if !reflect.DeepEqual(sent, got) {
+		t.Errorf("round-trip mismatch: sent %+v, got %+v", sent, got)
 	}
 }

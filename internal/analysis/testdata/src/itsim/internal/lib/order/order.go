@@ -1,23 +1,21 @@
-// Package order is a helper OUTSIDE the deterministic set: it may legally
-// range over maps, but entropyflow exports a ReturnsEntropy fact on Keys so
-// the map-order dependence is still caught when a deterministic package
-// consumes the result. No diagnostics are expected in this package.
+// Package order is a helper the simulator imports (chaos → wrap → order),
+// so it is in the deterministic set although nothing lists it: its map
+// range is reported here, not where a caller consumes the result.
 package order
 
 import "sort"
 
-// Keys returns m's keys in Go's per-run randomized map order: the return
-// value carries "map iteration order" entropy.
+// Keys returns m's keys in Go's per-run randomized map order.
 func Keys(m map[string]int) []string {
 	var out []string
-	for k := range m {
+	for k := range m { // want `range over map map\[string\]int in deterministic package itsim/internal/lib/order`
 		out = append(out, k)
 	}
 	return out
 }
 
-// SortedKeys is the clean polarity: the sort sanitizes the order, so the
-// return value carries no entropy fact.
+// SortedKeys sorts Keys' result. The range inside Keys is still reported:
+// the ban sees sources, not what callers do with them.
 func SortedKeys(m map[string]int) []string {
 	out := Keys(m)
 	sort.Strings(out)

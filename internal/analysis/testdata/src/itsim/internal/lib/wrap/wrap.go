@@ -1,13 +1,11 @@
-// Package wrap is the second hop of the laundering chain: it forwards
-// order.Keys' map-order entropy through another package boundary, so a
-// deterministic consumer is two calls away from the source — invisible to
-// any single-package syntactic check, visible to entropyflow's facts.
+// Package wrap is the second hop of the helper chain: it forwards
+// order.Keys across another package boundary, so the chaos consumer is two
+// calls away from the map range. It contains no source of its own.
 package wrap
 
 import "itsim/internal/lib/order"
 
-// FirstKey returns one of m's keys — which one depends on Go's map hashing,
-// so the ReturnsEntropy fact propagates from order.Keys.
+// FirstKey returns one of m's keys; which one depends on Go's map hashing.
 func FirstKey(m map[string]int) string {
 	ks := order.Keys(m)
 	if len(ks) == 0 {
@@ -16,7 +14,7 @@ func FirstKey(m map[string]int) string {
 	return ks[0]
 }
 
-// FirstSorted is the clean pass-through: order.SortedKeys carries no fact.
+// FirstSorted returns m's smallest key.
 func FirstSorted(m map[string]int) string {
 	ks := order.SortedKeys(m)
 	if len(ks) == 0 {

@@ -1,6 +1,5 @@
 // Package prng is the fixture stand-in for the real deterministic PRNG:
-// New's seed argument is a determinism-critical sink for entropyflow, and
-// its callers are audited by seedflow.
+// seedflow audits the seeds its callers pass to New.
 package prng
 
 // Source is the fixture PRNG state.

@@ -63,7 +63,7 @@ var exemptFuncs = map[string]bool{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	if !itslint.Deterministic(pass.Pkg.Path()) {
+	if !itslint.Deterministic(pass) {
 		return nil, nil
 	}
 	al := itslint.Scan(pass)

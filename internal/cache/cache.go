@@ -1,5 +1,6 @@
 // Package cache implements the N-way set-associative cache model used for
-// the simulated CPU's last-level cache (LLC) and, with the byte-granular INV
+// the simulated CPU's L1s, last-level cache (LLC), optional TLB (one fully
+// associative set keyed by page number) and, with the byte-granular INV
 // extension in internal/cpu, the pre-execute cache.
 //
 // The paper's configuration (§4.1) is a 16-way, 8 MB LLC with 64-byte lines;
@@ -104,7 +105,7 @@ type Cache struct {
 	// (ways > 16): tick stamps per line, plus a per-set valid-way count so
 	// full sets skip the invalid-way bookkeeping.
 	lruTick    []uint64
-	validCount []uint16
+	validCount []uint32
 	tick       uint64
 	stats      Stats
 }
@@ -168,7 +169,7 @@ func New(cfg Config) *Cache {
 		}
 	} else {
 		c.lruTick = make([]uint64, lines)
-		c.validCount = make([]uint16, sets)
+		c.validCount = make([]uint32, sets)
 	}
 	return c
 }

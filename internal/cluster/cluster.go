@@ -34,7 +34,7 @@ import (
 	"sort"
 
 	"itsim/internal/chaos"
-	"itsim/internal/core"
+	"itsim/internal/exec"
 	"itsim/internal/fault"
 	"itsim/internal/machine"
 	"itsim/internal/metrics"
@@ -199,8 +199,8 @@ func (c *Config) machineConfig(dataIntensive, machineID int) machine.Config {
 	if c.Machine != nil {
 		cfg = *c.Machine
 	} else {
-		cfg.MinSlice, cfg.MaxSlice = core.SliceRange(c.maxScale())
-		cfg.DRAMRatio = core.DRAMRatioFor(dataIntensive)
+		cfg.MinSlice, cfg.MaxSlice = exec.SliceRange(c.maxScale())
+		cfg.DRAMRatio = exec.DRAMRatioFor(dataIntensive)
 	}
 	if c.Cores != 0 {
 		cfg.Cores = c.Cores

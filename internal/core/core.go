@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"itsim/internal/chaos"
+	"itsim/internal/exec"
 	"itsim/internal/fault"
 	"itsim/internal/machine"
 	"itsim/internal/metrics"
@@ -67,48 +68,20 @@ func (o Options) scale() float64 {
 	return o.Scale
 }
 
-// sliceScalePerUnit converts workload scale to slice scale. The paper's
-// 800 ms/5 ms slices govern traces that run for minutes; our synthetic
-// traces at scale 1.0 run for a few hundred milliseconds, roughly 50×
-// shorter, so slices shrink by the same factor (0.02) to preserve how often
-// round-robin rotation interleaves the processes. MinSliceFloor keeps the
-// smallest slice well above the 7 µs context switch, as in the paper.
-const (
-	sliceScalePerUnit = 0.02
-	minSliceFloor     = 20 * sim.Microsecond
+// SliceRange and DRAMRatioFor are exec.SliceRange and exec.DRAMRatioFor,
+// kept under their old names for the benchmark harness.
+var (
+	SliceRange   = exec.SliceRange
+	DRAMRatioFor = exec.DRAMRatioFor
 )
-
-// SliceRange returns the scaled SCHED_RR slice bounds for a workload scale.
-func SliceRange(scale float64) (min, max sim.Time) {
-	max = sim.Time(float64(800*sim.Millisecond) * sliceScalePerUnit * scale)
-	min = sim.Time(float64(5*sim.Millisecond) * sliceScalePerUnit * scale)
-	if min < minSliceFloor {
-		min = minSliceFloor
-	}
-	if max < 10*min {
-		max = 10 * min
-	}
-	return min, max
-}
-
-// DRAMRatioFor returns the per-batch DRAM sizing ratio. The paper tailors
-// DRAM to each batch's working set (§4.1); data-intensive-heavy batches get
-// a slightly larger share of their (much larger) aggregate footprint so the
-// resident working sets stay comparable.
-func DRAMRatioFor(dataIntensive int) float64 {
-	if dataIntensive >= 2 {
-		return 0.78
-	}
-	return 0.70
-}
 
 func (o Options) machineConfig(b workload.Batch) machine.Config {
 	cfg := machine.DefaultConfig()
 	if o.Machine != nil {
 		cfg = *o.Machine
 	} else {
-		cfg.MinSlice, cfg.MaxSlice = SliceRange(o.scale())
-		cfg.DRAMRatio = DRAMRatioFor(b.DataIntensive)
+		cfg.MinSlice, cfg.MaxSlice = exec.SliceRange(o.scale())
+		cfg.DRAMRatio = exec.DRAMRatioFor(b.DataIntensive)
 	}
 	if o.Cores != 0 {
 		cfg.Cores = o.Cores
@@ -206,7 +179,7 @@ func RunBatchWithPolicy(b workload.Batch, pol policy.Policy, opts Options) (*met
 
 // RunSpecs executes an ad-hoc set of process specs (custom traces, custom
 // priorities) under the given policy. The batch-dependent defaults use
-// dataIntensive as the contention hint (see DRAMRatioFor). Like
+// dataIntensive as the contention hint (see exec.DRAMRatioFor). Like
 // RunBatchWithPolicy, it takes one policy instance and therefore rejects
 // multi-core options.
 func RunSpecs(name string, specs []machine.ProcessSpec, pol policy.Policy, dataIntensive int, opts Options) (*metrics.Run, error) {

@@ -158,6 +158,41 @@ func DefaultConfig() Config {
 	}
 }
 
+// sliceScalePerUnit converts workload scale to slice scale. The paper's
+// 800 ms/5 ms slices govern traces that run for minutes; our synthetic
+// traces at scale 1.0 run for a few hundred milliseconds, roughly 50×
+// shorter, so slices shrink by the same factor (0.02) to preserve how often
+// round-robin rotation interleaves the processes. MinSliceFloor keeps the
+// smallest slice well above the 7 µs context switch, as in the paper.
+const (
+	sliceScalePerUnit = 0.02
+	minSliceFloor     = 20 * sim.Microsecond
+)
+
+// SliceRange returns the scaled SCHED_RR slice bounds for a workload scale.
+func SliceRange(scale float64) (min, max sim.Time) {
+	max = sim.Time(float64(800*sim.Millisecond) * sliceScalePerUnit * scale)
+	min = sim.Time(float64(5*sim.Millisecond) * sliceScalePerUnit * scale)
+	if min < minSliceFloor {
+		min = minSliceFloor
+	}
+	if max < 10*min {
+		max = 10 * min
+	}
+	return min, max
+}
+
+// DRAMRatioFor returns the per-batch DRAM sizing ratio. The paper tailors
+// DRAM to each batch's working set (§4.1); data-intensive-heavy batches get
+// a slightly larger share of their (much larger) aggregate footprint so the
+// resident working sets stay comparable.
+func DRAMRatioFor(dataIntensive int) float64 {
+	if dataIntensive >= 2 {
+		return 0.78
+	}
+	return 0.70
+}
+
 // preExecWays returns how many LLC ways the pre-execute carve-out takes in
 // total, applying the PreExecCacheFraction defaulting and clamping rules.
 func (c Config) preExecWays() int {

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"itsim/internal/cache"
-	"itsim/internal/cpu"
 	"itsim/internal/kernel"
 	"itsim/internal/mem"
 	"itsim/internal/metrics"
@@ -35,8 +34,10 @@ type Core struct {
 	Sch *sched.RR
 	// L1 is the core's private first-level cache.
 	L1 *cache.Cache
-	// TLB is the core's private TLB (nil = TLB model off).
-	TLB *cpu.TLB
+	// TLB is the core's private TLB (nil = TLB model off): a fully
+	// associative cache of pid-tagged page numbers, one set of TLBEntries
+	// ways with 1-byte lines and true-LRU replacement.
+	TLB *cache.Cache
 	// PX is the core's pre-execute engine and carve-out cache (nil when
 	// the policy has no pre-execute cache).
 	PX *preexec.Engine
@@ -306,10 +307,12 @@ func (c *Core) access(p *Proc, rec trace.Record) (blockedOut bool) {
 func (c *Core) cacheAccess(p *Proc, addr uint64) {
 	s := c.S
 	key := Tagged(p.PID, addr)
-	if c.TLB != nil && !c.TLB.Lookup(key>>pagetable.PageShift) {
-		// TLB miss: the hardware walker re-reads the page tables.
-		c.advance(p, s.Cfg.TLBMissCost)
-		p.Met.MemStall += s.Cfg.TLBMissCost
+	if c.TLB != nil {
+		if hit, _, _ := c.TLB.AccessFill(key >> pagetable.PageShift); !hit {
+			// TLB miss: the hardware walker re-reads the page tables.
+			c.advance(p, s.Cfg.TLBMissCost)
+			p.Met.MemStall += s.Cfg.TLBMissCost
+		}
 	}
 	if c.L1.Access(key) {
 		c.advance(p, s.Cfg.L1Hit)

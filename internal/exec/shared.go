@@ -217,7 +217,7 @@ func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string,
 			}))
 		}
 		if cfg.TLBEntries > 0 {
-			c.TLB = cpu.NewTLB(cfg.TLBEntries)
+			c.TLB = cache.New(cache.Config{SizeBytes: cfg.TLBEntries, LineBytes: 1, Ways: cfg.TLBEntries})
 		}
 		if cfg.StrictPriority {
 			c.Sch.SetStrictPriority(true)

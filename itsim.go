@@ -28,6 +28,7 @@ import (
 	"io"
 
 	"itsim/internal/core"
+	"itsim/internal/exec"
 	"itsim/internal/machine"
 	"itsim/internal/metrics"
 	"itsim/internal/policy"
@@ -189,8 +190,8 @@ var (
 )
 
 // SliceRange returns the SCHED_RR slice bounds scaled to a workload scale
-// (see core.SliceRange for the rationale).
-func SliceRange(scale float64) (min, max Time) { return core.SliceRange(scale) }
+// (see exec.SliceRange for the rationale).
+func SliceRange(scale float64) (min, max Time) { return exec.SliceRange(scale) }
 
 // ProcessSpec declares one process of a custom run: a name, a trace source,
 // a scheduling priority and the base virtual address of its image.
