@@ -27,6 +27,7 @@ func writeDoc(t *testing.T, dir, name string, doc *jsonDoc) string {
 func testDoc() *jsonDoc {
 	return &jsonDoc{
 		Scale: 0.25,
+		Setup: map[string]string{"Context switch": "7.000µs"},
 		Figures: map[string]map[string]map[string]float64{
 			"fig4a": {"1_Data_Intensive": {"ITS": 1.0, "Sync": 1.8}},
 		},
@@ -56,6 +57,7 @@ func TestDiffDetectsDrift(t *testing.T) {
 	dir := t.TempDir()
 	a := writeDoc(t, dir, "a.json", testDoc())
 	changed := testDoc()
+	changed.Setup["Context switch"] = "8.000µs"
 	changed.Figures["fig4a"]["1_Data_Intensive"]["Sync"] = 2.0
 	changed.Runs[0].MakespanNs = 1_100_000
 	b := writeDoc(t, dir, "b.json", changed)
@@ -65,9 +67,10 @@ func TestDiffDetectsDrift(t *testing.T) {
 		t.Fatalf("drifted docs: exit %d, want 1; output:\n%s", code, out.String())
 	}
 	for _, want := range []string{
-		"figures/fig4a/1_Data_Intensive/Sync",
-		"runs/ITS/1_Data_Intensive/makespan_ns",
-		"2 metrics drifted",
+		"setup.Context switch: 7.000µs -> 8.000µs",
+		"figures.fig4a.1_Data_Intensive.Sync: 1.8 -> 2 (+11.1%)",
+		"runs[0].makespan_ns: 1000000 -> 1100000 (+10%)",
+		"3 metrics drifted",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
@@ -89,7 +92,7 @@ func TestDiffTolerance(t *testing.T) {
 		t.Fatalf("-tolerance: exit %d, want 2 (usage error); output:\n%s", code, out.String())
 	}
 	out.Reset()
-	if code := diffMain([]string{a, b}, &out); code != 1 || !strings.Contains(out.String(), "runs/ITS/1_Data_Intensive/makespan_ns") {
+	if code := diffMain([]string{a, b}, &out); code != 1 || !strings.Contains(out.String(), "runs[0].makespan_ns") {
 		t.Fatalf("1%% drift: exit %d, want 1 naming the drifted metric; output:\n%s", code, out.String())
 	}
 }
@@ -107,8 +110,8 @@ func TestDiffMissingAndExtraEntries(t *testing.T) {
 		t.Fatalf("structural differences: exit %d, want 1; output:\n%s", code, out.String())
 	}
 	for _, want := range []string{
-		"figures/fig5a: only in new document",
-		"runs/ITS/1_Data_Intensive: missing from new document",
+		"figures.fig5a: only in new document",
+		"runs: missing from new document",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
@@ -135,9 +138,9 @@ func TestDiffExtraInnerEntriesAreDrift(t *testing.T) {
 		t.Fatalf("new-only entries: exit %d, want 1; output:\n%s", code, out.String())
 	}
 	for _, want := range []string{
-		"figures/fig4a/2_Data_Intensive: only in new document",
-		"figures/fig4a/1_Data_Intensive/Async: only in new document",
-		"runs/Async/1_Data_Intensive: only in new document",
+		"figures.fig4a.2_Data_Intensive: only in new document",
+		"figures.fig4a.1_Data_Intensive.Async: only in new document",
+		"runs[1]: only in new document",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
@@ -164,8 +167,8 @@ func TestDiffFaultInjectionFields(t *testing.T) {
 		t.Fatalf("fault drift: exit %d, want 1; output:\n%s", code, out.String())
 	}
 	for _, want := range []string{
-		"runs/ITS/1_Data_Intensive/demoted_waits",
-		"runs/ITS/1_Data_Intensive/fault_injection/tail_spikes",
+		"runs[0].demoted_waits",
+		"runs[0].fault_injection.tail_spikes",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
@@ -179,7 +182,7 @@ func TestDiffFaultInjectionFields(t *testing.T) {
 	if code := diffMain([]string{a, c}, &out); code != 1 {
 		t.Fatalf("injection section removed: exit %d, want 1; output:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "fault_injection: only in old document") {
+	if !strings.Contains(out.String(), "runs[0].fault_injection: missing from new document") {
 		t.Errorf("output missing one-sided injection drift:\n%s", out.String())
 	}
 }
@@ -215,8 +218,8 @@ func TestDiffFleetSection(t *testing.T) {
 	if code := diffMain([]string{a, b}, &out); code != 0 {
 		t.Fatalf("identical fleet docs: exit %d, output:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "1 fleet sweeps") {
-		t.Errorf("fleet sweep not counted: %q", out.String())
+	if !strings.Contains(out.String(), "no drift") {
+		t.Errorf("missing no-drift confirmation: %q", out.String())
 	}
 
 	// Drifted resilience counters register per metric.
@@ -229,8 +232,8 @@ func TestDiffFleetSection(t *testing.T) {
 		t.Fatalf("drifted fleet docs: exit %d, want 1; output:\n%s", code, out.String())
 	}
 	for _, want := range []string{
-		"fleet/health/ITS/tenants/web/timed_out",
-		"fleet/health/ITS/chaos/crashes",
+		"fleet[0].tenants[0].timed_out",
+		"fleet[0].chaos.crashes",
 	} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
@@ -240,13 +243,16 @@ func TestDiffFleetSection(t *testing.T) {
 	// A chaos block appearing on one side only is drift in either
 	// direction — the zero-chaos byte-inertness gate's comparator.
 	plain := writeDoc(t, dir, "plain.json", fleetDoc(false))
-	for _, pair := range [][2]string{{plain, a}, {a, plain}} {
+	for _, pair := range [][3]string{
+		{plain, a, "fleet[0].chaos: only in new document"},
+		{a, plain, "fleet[0].chaos: missing from new document"},
+	} {
 		out.Reset()
 		if code := diffMain([]string{pair[0], pair[1]}, &out); code != 1 {
 			t.Fatalf("chaos-block asymmetry: exit %d, want 1; output:\n%s", code, out.String())
 		}
-		if !strings.Contains(out.String(), "chaos: only in") {
-			t.Errorf("asymmetric chaos block not reported:\n%s", out.String())
+		if !strings.Contains(out.String(), pair[2]) {
+			t.Errorf("asymmetric chaos block not reported as %q:\n%s", pair[2], out.String())
 		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 
 	"itsim/internal/cluster"
 	"itsim/internal/core"
@@ -26,7 +27,7 @@ var fleetPolicies = []policy.Kind{policy.Sync, policy.ITS}
 // printFleet runs the fleet serving sweep — every routing policy × Sync/ITS
 // over the fixed three-tenant mix — and reports per-tenant tail latency and
 // SLO attainment.
-func printFleet(opts core.Options, format string, doc *jsonDoc) error {
+func printFleet(w io.Writer, opts core.Options, format string, doc *jsonDoc) error {
 	specs, err := cluster.ParseTenantSpec(fleetTenantSpec)
 	if err != nil {
 		return err
@@ -52,10 +53,7 @@ func printFleet(opts core.Options, format string, doc *jsonDoc) error {
 			if err != nil {
 				return err
 			}
-			if doc != nil {
-				doc.Fleet = append(doc.Fleet, res.Summary)
-				continue
-			}
+			doc.Fleet = append(doc.Fleet, res.Summary)
 			for _, ten := range res.Summary.Tenants {
 				attained := "-"
 				if ten.SLONs > 0 {
@@ -67,8 +65,5 @@ func printFleet(opts core.Options, format string, doc *jsonDoc) error {
 			}
 		}
 	}
-	if doc != nil {
-		return nil
-	}
-	return emit(t, format)
+	return emit(w, t, format)
 }

@@ -11,24 +11,28 @@
 //	xover  — huge-I/O sync-vs-async crossover sweep (§1 motivation)
 //	spin   — ITS vs kernel-style hybrid polling (spin-then-block)
 //	sens   — Figure 4a robustness across random priority draws
+//	ablate — §3.3–§3.4 design ablations and strict-priority scheduling
 //	fleet  — multi-machine serving sweep: routing × Sync/ITS per-tenant tails
-//	all    — everything above except fleet (which extends, not reproduces,
-//	         the paper, and would shift the frozen `-exp all` document)
+//	all    — everything above except ablate and fleet (which extend, not
+//	         reproduce, the paper, and would shift the frozen `-exp all`
+//	         document)
 //
 // Usage:
 //
 //	itsbench -exp all -scale 0.25
+//	itsbench -exp ablate -scale 0.25
 //	itsbench -exp fig4a -format csv
 //	itsbench -exp fig4a -format chart
 //	itsbench -exp all -format json
 //	itsbench -exp fig4a -trace-out trace.json -trace-format chrome
 //	itsbench diff before.json after.json
 //
-// The diff subcommand compares two -format json documents and exits
-// non-zero when any figure value or run-summary metric changed at all —
-// the regression check for simulator changes that must not move the
-// numbers. The simulator's own speed is
-// measured by the benchmark under bench/ (see bench/README.md).
+// The diff subcommand compares two -format json documents value by value
+// and exits non-zero when anything changed at all — the regression check
+// for simulator changes that must not move the numbers. EXPERIMENTS.md
+// embeds the text output verbatim, checked by TestExperimentsDoc. The
+// simulator's own speed is measured by the benchmark under bench/ (see
+// bench/README.md).
 //
 // With -trace-out every simulated run streams its event trace into one file
 // (runs become separate trace processes); see docs/OBSERVABILITY.md.
@@ -38,6 +42,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"itsim/internal/chaos"
@@ -67,26 +72,24 @@ func main() {
 		os.Exit(diffMain(os.Args[2:], os.Stdout))
 	}
 	var p params
-	flag.StringVar(&p.exp, "exp", "all", "experiment: obs|fig4a|fig4b|fig4c|fig5a|fig5b|setup|xover|spin|sens|fleet|all")
+	flag.StringVar(&p.exp, "exp", "all", "experiment: obs|fig4a|fig4b|fig4c|fig5a|fig5b|setup|xover|spin|sens|ablate|fleet|all")
 	flag.Float64Var(&p.scale, "scale", 0.25, "workload scale factor")
 	flag.StringVar(&p.format, "format", "text", "output format: text|csv|chart|json")
 	flag.StringVar(&p.chaos, "chaos", "", "machine-level chaos spec for -exp fleet, e.g. 'seed=1,crashr=20,brownr=40' (empty = off)")
 	p.RunFlags.Bind(flag.CommandLine)
 	flag.Parse()
-	if err := run(p); err != nil {
+	if _, err := run(os.Stdout, p); err != nil {
 		fmt.Fprintln(os.Stderr, "itsbench:", err)
 		os.Exit(1)
 	}
 }
 
 // emit renders a table in the selected format.
-func emit(t *report.Table, format string) error {
-	switch format {
-	case "csv":
-		return t.WriteCSV(os.Stdout)
-	default:
-		return t.WriteText(os.Stdout)
+func emit(w io.Writer, t *report.Table, format string) error {
+	if format == "csv" {
+		return t.WriteCSV(w)
 	}
+	return t.WriteText(w)
 }
 
 // docSchemaVersion is stamped into every -format json document. Bump it
@@ -113,59 +116,66 @@ type jsonDoc struct {
 	Crossover   []core.CrossoverPoint    `json:"crossover,omitempty"`
 	Spin        []core.SpinPoint         `json:"spin,omitempty"`
 	Sensitivity []core.SensitivityResult `json:"sensitivity,omitempty"`
+	// Ablations holds the `-exp ablate` rows.
+	Ablations []core.Ablation `json:"ablations,omitempty"`
 	// Fleet holds the `-exp fleet` serving-sweep summaries, one per
 	// routing × policy cell (see fleet.go).
 	Fleet []metrics.FleetSummary `json:"fleet,omitempty"`
 }
 
-func run(p params) error {
+// run executes the selected experiments and writes their output to w. It
+// returns the experiments' data, which -format json writes in place of the
+// rendered tables.
+func run(w io.Writer, p params) (*jsonDoc, error) {
 	// Validate the output format and trace flags before any experiment
 	// runs — a grid at full scale is minutes of work to waste on a typo.
 	switch p.format {
 	case "text", "csv", "chart", "json":
 	default:
-		return fmt.Errorf("unknown format %q (want text, csv, chart or json)", p.format)
+		return nil, fmt.Errorf("unknown format %q (want text, csv, chart or json)", p.format)
 	}
 	needGrid := false
 	switch p.exp {
-	case "obs", "setup", "xover", "spin", "sens", "fleet":
+	case "obs", "setup", "xover", "spin", "sens", "ablate", "fleet":
 	case "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "all":
 		needGrid = true
 	default:
-		return fmt.Errorf("unknown experiment %q", p.exp)
+		return nil, fmt.Errorf("unknown experiment %q", p.exp)
 	}
 	chaosCfg, err := chaos.ParseSpec(p.chaos)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	opts, err := p.RunFlags.Options()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	opts.Scale = p.scale
 	opts.Chaos = chaosCfg
 
-	var doc *jsonDoc
+	doc := &jsonDoc{SchemaVersion: docSchemaVersion, Scale: p.scale}
+	tables := w
 	if p.format == "json" {
-		doc = &jsonDoc{SchemaVersion: docSchemaVersion, Scale: p.scale}
+		tables = io.Discard
 	}
-
-	err = runExperiments(p.exp, needGrid, opts, p.format, doc)
+	err = runExperiments(tables, p.exp, needGrid, opts, p.format, doc)
 	if cerr := opts.Tracer.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("finalizing trace: %w", cerr)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if doc != nil {
-		enc := json.NewEncoder(os.Stdout)
+	if p.format == "json" {
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
+		return doc, enc.Encode(doc)
 	}
-	return nil
+	return doc, nil
 }
 
-func runExperiments(exp string, needGrid bool, opts core.Options, format string, doc *jsonDoc) error {
+// runExperiments runs exp, records its data in doc and renders its tables
+// to w.
+func runExperiments(w io.Writer, exp string, needGrid bool, opts core.Options, format string, doc *jsonDoc) error {
 	var grid []core.GridResult
 	if needGrid {
 		var err error
@@ -173,11 +183,9 @@ func runExperiments(exp string, needGrid bool, opts core.Options, format string,
 		if err != nil {
 			return err
 		}
-		if doc != nil {
-			for _, gr := range grid {
-				for _, k := range policy.Kinds() {
-					doc.Runs = append(doc.Runs, gr.Runs[k].Summary())
-				}
+		for _, gr := range grid {
+			for _, k := range policy.Kinds() {
+				doc.Runs = append(doc.Runs, gr.Runs[k].Summary())
 			}
 		}
 	}
@@ -185,12 +193,12 @@ func runExperiments(exp string, needGrid bool, opts core.Options, format string,
 	show := func(name string) bool { return exp == "all" || exp == name }
 
 	if show("setup") {
-		if err := printSetup(opts, format, doc); err != nil {
+		if err := printSetup(w, opts, format, doc); err != nil {
 			return err
 		}
 	}
 	if show("obs") {
-		if err := printObservation(opts, format, doc); err != nil {
+		if err := printObservation(w, opts, format, doc); err != nil {
 			return err
 		}
 	}
@@ -212,68 +220,79 @@ func runExperiments(exp string, needGrid bool, opts core.Options, format string,
 		if !show(fig.name) {
 			continue
 		}
-		if err := printFigure(grid, fig.name, fig.title, fig.metric, fig.norm, format, doc); err != nil {
+		if err := printFigure(w, grid, fig.name, fig.title, fig.metric, fig.norm, format, doc); err != nil {
 			return err
 		}
 	}
 	if show("xover") {
-		if err := printCrossover(opts, format, doc); err != nil {
+		if err := printCrossover(w, opts, format, doc); err != nil {
 			return err
 		}
 	}
 	if show("spin") {
-		if err := printSpin(opts, format, doc); err != nil {
+		if err := printSpin(w, opts, format, doc); err != nil {
 			return err
 		}
 	}
 	if show("sens") {
-		if err := printSensitivity(opts, format, doc); err != nil {
+		if err := printSensitivity(w, opts, format, doc); err != nil {
 			return err
 		}
 	}
-	// The fleet sweep is opt-in only: it extends the paper rather than
-	// reproducing a figure, and folding it into "all" would change the
-	// byte layout of every frozen `-exp all` regression document.
-	if exp == "fleet" {
-		if err := printFleet(opts, format, doc); err != nil {
-			return err
-		}
+	// The ablations and the fleet sweep are opt-in only: they extend the
+	// paper rather than reproducing a figure, and folding them into "all"
+	// would change the byte layout of every frozen `-exp all` regression
+	// document.
+	switch exp {
+	case "ablate":
+		return printAblations(w, opts, format, doc)
+	case "fleet":
+		return printFleet(w, opts, format, doc)
 	}
 	return nil
 }
 
-func printSensitivity(opts core.Options, format string, doc *jsonDoc) error {
+func printAblations(w io.Writer, opts core.Options, format string, doc *jsonDoc) error {
+	rows, err := core.RunAblations(opts)
+	if err != nil {
+		return err
+	}
+	doc.Ablations = rows
+	t := report.NewTable("Ablations — one ITS mechanism or scheduler setting changed per row (§3.3–§3.4)",
+		"batch", "variant", "idle", "major faults", "LLC misses", "top-50% finish", "prefetch accuracy")
+	for _, r := range rows {
+		t.AddRow(r.Batch, r.Variant, r.Idle.String(), fmt.Sprint(r.MajorFaults), fmt.Sprint(r.LLCMisses),
+			r.TopFinish.String(), fmt.Sprintf("%.1f%%", 100*r.PrefetchAccuracy))
+	}
+	return emit(w, t, format)
+}
+
+func printSensitivity(w io.Writer, opts core.Options, format string, doc *jsonDoc) error {
 	res, err := core.RunSensitivity("1_Data_Intensive", 5, opts)
 	if err != nil {
 		return err
 	}
-	if doc != nil {
-		doc.Sensitivity = res
-		return nil
-	}
+	doc.Sensitivity = res
 	t := report.NewTable("Priority-draw sensitivity — normalized idle over 5 random draws (1_Data_Intensive)",
 		"policy", "min", "mean", "max")
 	for _, r := range res {
 		t.AddRowf(r.Policy.String(), r.Min, r.Mean, r.Max)
 	}
-	return emit(t, format)
+	return emit(w, t, format)
 }
 
-func printSpin(opts core.Options, format string, doc *jsonDoc) error {
+func printSpin(w io.Writer, opts core.Options, format string, doc *jsonDoc) error {
 	pts, err := core.RunSpinSweep(opts, nil)
 	if err != nil {
 		return err
 	}
-	if doc != nil {
-		doc.Spin = pts
-		return nil
-	}
+	doc.Spin = pts
 	if format == "chart" {
 		var bars []report.Bar
 		for _, pt := range pts {
 			bars = append(bars, report.Bar{Label: pt.Name, Value: pt.IdleVsITS})
 		}
-		return report.BarChart(os.Stdout,
+		return report.BarChart(w,
 			"Hybrid polling vs ITS — normalized total CPU idle time (ITS = 1.00)", bars, 40)
 	}
 	t := report.NewTable("Hybrid polling vs ITS — 2_Data_Intensive (extension experiment)",
@@ -281,31 +300,28 @@ func printSpin(opts core.Options, format string, doc *jsonDoc) error {
 	for _, pt := range pts {
 		t.AddRow(pt.Name, pt.Idle.String(), pt.Makespan.String(), fmt.Sprintf("%.2f", pt.IdleVsITS))
 	}
-	return emit(t, format)
+	return emit(w, t, format)
 }
 
-func printFigure(grid []core.GridResult, name, title string, metric core.Metric, normalized bool, format string, doc *jsonDoc) error {
+func printFigure(w io.Writer, grid []core.GridResult, name, title string, metric core.Metric, normalized bool, format string, doc *jsonDoc) error {
 	value := func(gr core.GridResult, k policy.Kind) float64 {
 		if normalized {
 			return gr.Normalized(metric, policy.ITS)[k]
 		}
 		return metric(gr.Runs[k])
 	}
-	if doc != nil {
-		if doc.Figures == nil {
-			doc.Figures = make(map[string]map[string]map[string]float64)
-		}
-		fig := make(map[string]map[string]float64, len(grid))
-		for _, gr := range grid {
-			row := make(map[string]float64, len(policy.Kinds()))
-			for _, k := range policy.Kinds() {
-				row[k.String()] = value(gr, k)
-			}
-			fig[gr.Batch.Name] = row
-		}
-		doc.Figures[name] = fig
-		return nil
+	if doc.Figures == nil {
+		doc.Figures = make(map[string]map[string]map[string]float64)
 	}
+	fig := make(map[string]map[string]float64, len(grid))
+	for _, gr := range grid {
+		row := make(map[string]float64, len(policy.Kinds()))
+		for _, k := range policy.Kinds() {
+			row[k.String()] = value(gr, k)
+		}
+		fig[gr.Batch.Name] = row
+	}
+	doc.Figures[name] = fig
 	if format == "chart" {
 		groups := make([]string, 0, len(grid))
 		series := make(map[string][]report.Bar, len(grid))
@@ -317,7 +333,7 @@ func printFigure(grid []core.GridResult, name, title string, metric core.Metric,
 			}
 			series[gr.Batch.Name] = bars
 		}
-		return report.GroupedBarChart(os.Stdout, title, groups, series, 40)
+		return report.GroupedBarChart(w, title, groups, series, 40)
 	}
 	header := []string{"batch"}
 	for _, k := range policy.Kinds() {
@@ -331,7 +347,7 @@ func printFigure(grid []core.GridResult, name, title string, metric core.Metric,
 		}
 		t.AddRowf(row...)
 	}
-	return emit(t, format)
+	return emit(w, t, format)
 }
 
 // measuredSyncWait runs the 2_Data_Intensive batch under plain Sync and
@@ -352,7 +368,7 @@ func measuredSyncWait(opts core.Options) (*metrics.Histogram, error) {
 	return run.SyncWaitHist, nil
 }
 
-func printSetup(opts core.Options, format string, doc *jsonDoc) error {
+func printSetup(w io.Writer, opts core.Options, format string, doc *jsonDoc) error {
 	dev := storage.DefaultConfig()
 	sw, err := measuredSyncWait(opts)
 	if err != nil {
@@ -370,29 +386,23 @@ func printSetup(opts core.Options, format string, doc *jsonDoc) error {
 		{"Page size", "4 KiB, 4-level page table"},
 		{"Sync fault wait (measured)", syncWait},
 	}
-	if doc != nil {
-		doc.Setup = make(map[string]string, len(rows))
-		for _, r := range rows {
-			doc.Setup[r[0]] = r[1]
-		}
-		return nil
+	doc.Setup = make(map[string]string, len(rows))
+	for _, r := range rows {
+		doc.Setup[r[0]] = r[1]
 	}
 	t := report.NewTable("Table — §4.1 evaluation setup (simulated platform constants)", "constant", "value")
 	for _, r := range rows {
 		t.AddRow(r[0], r[1])
 	}
-	return emit(t, format)
+	return emit(w, t, format)
 }
 
-func printObservation(opts core.Options, format string, doc *jsonDoc) error {
+func printObservation(w io.Writer, opts core.Options, format string, doc *jsonDoc) error {
 	pts, err := core.RunObservation(opts)
 	if err != nil {
 		return err
 	}
-	if doc != nil {
-		doc.Observation = pts
-		return nil
-	}
+	doc.Observation = pts
 	base := pts[0].IdleTime
 	if format == "chart" {
 		var bars []report.Bar
@@ -402,7 +412,7 @@ func printObservation(opts core.Options, format string, doc *jsonDoc) error {
 				Value: float64(pt.IdleTime) / float64(base),
 			})
 		}
-		return report.BarChart(os.Stdout,
+		return report.BarChart(w,
 			"§2.2 observation — CPU idle time vs process count (normalized to 2 processes)", bars, 40)
 	}
 	t := report.NewTable("§2.2 observation — CPU idle time vs process count (Sync mode, normalized to 2 processes)",
@@ -415,18 +425,15 @@ func printObservation(opts core.Options, format string, doc *jsonDoc) error {
 		t.AddRow(fmt.Sprint(pt.Processes), pt.IdleTime.String(),
 			fmt.Sprintf("%.2f×", norm), fmt.Sprintf("%.1f%%", 100*pt.IdleFraction))
 	}
-	return emit(t, format)
+	return emit(w, t, format)
 }
 
-func printCrossover(opts core.Options, format string, doc *jsonDoc) error {
+func printCrossover(w io.Writer, opts core.Options, format string, doc *jsonDoc) error {
 	pts, err := core.RunCrossover(opts, nil)
 	if err != nil {
 		return err
 	}
-	if doc != nil {
-		doc.Crossover = pts
-		return nil
-	}
+	doc.Crossover = pts
 	if format == "chart" {
 		var bars []report.Bar
 		for _, pt := range pts {
@@ -435,7 +442,7 @@ func printCrossover(opts core.Options, format string, doc *jsonDoc) error {
 				Value: pt.SyncMakespan.Seconds() / pt.AsyncMakespan.Seconds(),
 			})
 		}
-		return report.BarChart(os.Stdout,
+		return report.BarChart(w,
 			"Huge-I/O crossover — Sync/Async makespan ratio (>1 ⇒ Async wins)", bars, 40)
 	}
 	t := report.NewTable("Huge-I/O crossover — Sync vs Async as the swap-in unit grows (§1 motivation)",
@@ -445,5 +452,5 @@ func printCrossover(opts core.Options, format string, doc *jsonDoc) error {
 			pt.SyncMakespan.String(), pt.AsyncMakespan.String(),
 			pt.SyncIdle.String(), pt.AsyncIdle.String(), pt.Winner)
 	}
-	return emit(t, format)
+	return emit(w, t, format)
 }

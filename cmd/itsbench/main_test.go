@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -23,8 +24,8 @@ func TestRunAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness run in -short mode")
 	}
-	for _, exp := range []string{"setup", "obs", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "xover", "spin"} {
-		if err := run(tiny(exp)); err != nil {
+	for _, exp := range []string{"setup", "obs", "fig4a", "fig4b", "fig4c", "fig5a", "fig5b", "xover", "spin", "ablate"} {
+		if _, err := run(io.Discard, tiny(exp)); err != nil {
 			t.Fatalf("%s: %v", exp, err)
 		}
 	}
@@ -37,7 +38,7 @@ func TestRunFormats(t *testing.T) {
 	for _, format := range []string{"csv", "chart", "json"} {
 		p := tiny("fig4a")
 		p.format = format
-		if err := run(p); err != nil {
+		if _, err := run(io.Discard, p); err != nil {
 			t.Fatalf("%s: %v", format, err)
 		}
 	}
@@ -49,7 +50,7 @@ func TestRunMultiCore(t *testing.T) {
 	}
 	p := tiny("fig4a")
 	p.Cores = 2
-	if err := run(p); err != nil {
+	if _, err := run(io.Discard, p); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -64,38 +65,38 @@ func TestRunWithFaults(t *testing.T) {
 	p.Faults = "seed=7,tailp=0.05,tailx=8,stallp=0.01,dmap=0.02"
 	p.SpinBudget = 3 * time.Microsecond
 	p.PrefetchThrottle = 0.5
-	if err := run(p); err != nil {
+	if _, err := run(io.Discard, p); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRejectsUnknown(t *testing.T) {
-	if err := run(tiny("nope")); err == nil {
+	if _, err := run(io.Discard, tiny("nope")); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 	p := tiny("fig4a")
 	p.format = "nope"
-	if err := run(p); err == nil {
+	if _, err := run(io.Discard, p); err == nil {
 		t.Fatal("unknown format accepted")
 	}
 	p = tiny("fig4a")
 	p.TraceOut, p.TraceFormat = "x.json", "nope"
-	if err := run(p); err == nil {
+	if _, err := run(io.Discard, p); err == nil {
 		t.Fatal("unknown trace format accepted")
 	}
 	p = tiny("fig4a")
 	p.Faults = "tailp=nope"
-	if err := run(p); err == nil {
+	if _, err := run(io.Discard, p); err == nil {
 		t.Fatal("bad fault spec accepted")
 	}
 	p = tiny("fig4a")
 	p.SpinBudget = -time.Microsecond
-	if err := run(p); err == nil {
+	if _, err := run(io.Discard, p); err == nil {
 		t.Fatal("negative spin budget accepted")
 	}
 	p = tiny("fig4a")
 	p.PrefetchThrottle = 1.5
-	if err := run(p); err == nil {
+	if _, err := run(io.Discard, p); err == nil {
 		t.Fatal("out-of-range prefetch throttle accepted")
 	}
 }
@@ -109,7 +110,7 @@ func TestRunWithTrace(t *testing.T) {
 	p := tiny("fig4a")
 	p.TraceOut = filepath.Join(t.TempDir(), "trace.json")
 	p.GaugeInterval = 50 * time.Microsecond
-	if err := run(p); err != nil {
+	if _, err := run(io.Discard, p); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(p.TraceOut)

@@ -323,6 +323,91 @@ func RunCrossover(opts Options, clusterSizes []int) ([]CrossoverPoint, error) {
 	return out, nil
 }
 
+// Ablation is one row of the design ablations: a batch run with one ITS
+// mechanism or scheduler setting changed from the canonical configuration.
+type Ablation struct {
+	Batch string
+	// Variant names the policy and the changed setting.
+	Variant          string
+	Idle             sim.Time
+	MajorFaults      uint64
+	LLCMisses        uint64
+	TopFinish        sim.Time
+	PrefetchAccuracy float64
+}
+
+// RunAblations attributes ITS's gains to its mechanisms (§3.3–§3.4) and
+// checks how much the scheduler model matters. Every variant starts from
+// opts.machineConfig, so only the ablated setting differs from the
+// canonical run:
+//
+//   - 2_Data_Intensive: ITS prefetch degree n ∈ {2, 4, 8, 16}; pre-execution
+//     off; prefetch off; the pre-execute cache at 25, 50 and 75 % of the LLC
+//     (n = 8 and 50 % are both the default ITS run);
+//   - 3_Data_Intensive: ITS with and without the self-sacrificing thread;
+//   - 1_Data_Intensive: Sync and ITS under NICE round-robin and under
+//     strict SCHED_RR priority dispatch.
+func RunAblations(opts Options) ([]Ablation, error) {
+	type variant struct {
+		batch, name string
+		kind        policy.Kind
+		set         func(*Options, *machine.Config)
+	}
+	var vs []variant
+	its := func(batch, name string, set func(*Options, *machine.Config)) {
+		vs = append(vs, variant{batch, name, policy.ITS, set})
+	}
+	for _, n := range []int{2, 4, 8, 16} {
+		its("2_Data_Intensive", fmt.Sprintf("ITS n=%d", n), func(o *Options, _ *machine.Config) { o.ITS.PrefetchDegree = n })
+	}
+	its("2_Data_Intensive", "ITS no pre-execution", func(o *Options, _ *machine.Config) { o.ITS.DisablePreExecute = true })
+	its("2_Data_Intensive", "ITS no prefetch", func(o *Options, _ *machine.Config) { o.ITS.DisablePrefetch = true })
+	for _, frac := range []float64{0.25, 0.5, 0.75} {
+		its("2_Data_Intensive", fmt.Sprintf("ITS pre-exec cache %.0f%%", 100*frac), func(_ *Options, c *machine.Config) { c.PreExecCacheFraction = frac })
+	}
+	its("3_Data_Intensive", "ITS", func(*Options, *machine.Config) {})
+	its("3_Data_Intensive", "ITS no self-sacrificing", func(o *Options, _ *machine.Config) { o.ITS.DisableSelfSacrificing = true })
+	for _, strict := range []bool{false, true} {
+		sched := "NICE RR"
+		if strict {
+			sched = "strict priority"
+		}
+		for _, k := range []policy.Kind{policy.Sync, policy.ITS} {
+			vs = append(vs, variant{"1_Data_Intensive", k.String() + " " + sched, k,
+				func(_ *Options, c *machine.Config) { c.StrictPriority = strict }})
+		}
+	}
+	out := make([]Ablation, len(vs))
+	err := opts.runJobs(len(vs), func(i int) error {
+		v := vs[i]
+		b, err := workload.BatchByName(v.batch)
+		if err != nil {
+			return err
+		}
+		o, cfg := opts, opts.machineConfig(b)
+		v.set(&o, &cfg)
+		o.Machine = &cfg
+		run, err := RunBatch(b, v.kind, o)
+		if err != nil {
+			return err
+		}
+		out[i] = Ablation{
+			Batch:            b.Name,
+			Variant:          v.name,
+			Idle:             run.TotalIdle(),
+			MajorFaults:      run.TotalMajorFaults(),
+			LLCMisses:        run.TotalLLCMisses(),
+			TopFinish:        run.TopHalfAvgFinish(),
+			PrefetchAccuracy: run.PrefetchAccuracy(),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // SpinPoint is one row of the hybrid-polling comparison: a Spin_Block
 // policy with the given busy-wait threshold versus the paper's policies.
 type SpinPoint struct {
