@@ -1,8 +1,8 @@
 // Package sim is a fixture stand-in for the real virtual-time package: the
 // Time type for the vtime analyzer, plus event-core-shaped code for
-// entropyflow's source ban — sim is in the deterministic set (the calendar
-// queue's same-time ordering is the determinism anchor), so wall clocks and
-// map ranges here must be flagged while the pure bucket-array walk passes.
+// entropyflow's source ban — sim is in the deterministic set (the event
+// core's same-time ordering is the determinism anchor), so wall clocks and
+// map ranges here must be flagged while a pure slice walk passes.
 package sim
 
 import "time"
@@ -18,14 +18,13 @@ const (
 	Second      Time = 1000 * Millisecond
 )
 
-// event is a fixture calendar-queue entry.
+// event is a fixture event-core entry.
 type event struct {
 	at  Time
 	seq uint64
 }
 
-// engine is a fixture event core: a bucket array plus a free list, the
-// shape of the real calendar queue.
+// engine is a fixture event core: a bucket array plus a free list.
 type engine struct {
 	buckets [][]*event
 	byID    map[uint64]*event
@@ -48,8 +47,8 @@ func (e *engine) drainByID() []*event {
 	return out
 }
 
-// earliest is the clean polarity: the calendar-queue day walk is pure
-// slice iteration with an explicit (at, seq) tie-break — no diagnostics.
+// earliest is the clean polarity: a pure slice walk with an explicit
+// (at, seq) tie-break — no diagnostics.
 func (e *engine) earliest() *event {
 	var best *event
 	for _, b := range e.buckets {

@@ -55,7 +55,8 @@ const simPkg = "itsim/internal/sim"
 // boundary. Keyed by declared function name.
 var exemptFuncs = map[string]bool{
 	// Core.RunUntil owns the instructions→ns carry arithmetic
-	// (instCarry / InstPerNs) that turns compute gaps into clock time.
+	// (instCarry / the InstPerNs constant) that turns compute gaps into
+	// clock time.
 	"RunUntil": true,
 	// Core.advance is the clock-mutation choke point charging time to
 	// the process, the ledger and the engine in one place.

@@ -167,18 +167,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// policyFactory returns a fresh-instance policy constructor (the smp model
-// runs one instance per core); mirrors the unexported one in internal/core.
-func (c *Config) policyFactory() func() policy.Policy {
-	kind, its := c.Policy, c.ITS
-	return func() policy.Policy {
-		if kind == policy.ITS {
-			return policy.NewITS(its)
-		}
-		return policy.New(kind)
-	}
-}
-
 // maxScale is the largest effective per-request workload scale across
 // tenants — the fleet's analogue of core.Options.Scale for slice sizing.
 func (c *Config) maxScale() float64 {
@@ -366,7 +354,10 @@ func Run(cfg Config) (*Result, error) {
 		// chaos-free, deadline-free fleet tx and tt are always never and
 		// the loop degenerates to the historical completions/arrivals
 		// alternation exactly.
-		tc, tx, tt, ta := never, f.nextChaos(), f.nextTimer(), never
+		tc, tx, tt, ta := never, f.nextChaos(), never, never
+		if t, ok := f.timers.NextEventTime(); ok {
+			tt = t
+		}
 		for _, m := range f.machines {
 			if m.running != nil && m.busyUntil < tc {
 				tc = m.busyUntil
@@ -402,7 +393,7 @@ func Run(cfg Config) (*Result, error) {
 		case tx == now:
 			f.stepChaos(now)
 		case tt == now:
-			f.fireTimers(now)
+			f.timers.AdvanceTo(now)
 		default:
 			for arrIdx < len(reqs) && reqs[arrIdx].arrival == ta {
 				r := reqs[arrIdx]
@@ -447,8 +438,7 @@ type fleet struct {
 
 	// Resilience state (see resilience.go).
 	chaosCfg chaos.Config // effective (defaulted) chaos knobs
-	timers   timerHeap
-	timerSeq uint64
+	timers   sim.Engine   // lifecycle timers (*timer handlers)
 	parked   []*attempt
 	trackers []*workload.QuantileTracker
 	tAccs    []tenantAcc
@@ -487,7 +477,7 @@ func (f *fleet) startEpoch(m *machineState, now sim.Time) error {
 	f.router.Observe(m.id, counts)
 
 	name := fmt.Sprintf("m%d/e%d", m.id, m.stats.Epochs)
-	if err := f.mach.Reset(f.cfg.machineConfig(dataIntensive, m.id), f.cfg.policyFactory(), name, specs); err != nil {
+	if err := f.mach.Reset(f.cfg.machineConfig(dataIntensive, m.id), policy.Factory(f.cfg.Policy, f.cfg.ITS), name, specs); err != nil {
 		return fmt.Errorf("cluster: epoch %s: %w", name, err)
 	}
 	f.mach.Instrument(f.cfg.Tracer, f.cfg.GaugeInterval)

@@ -60,7 +60,7 @@ func TestOneMachineMatchesSMP(t *testing.T) {
 					dataIntensive++
 				}
 			}
-			mm, err := smp.New(cfg.machineConfig(dataIntensive, 0), cfg.policyFactory(), "m0/e0", specs)
+			mm, err := smp.New(cfg.machineConfig(dataIntensive, 0), policy.Factory(cfg.Policy, cfg.ITS), "m0/e0", specs)
 			if err != nil {
 				t.Fatalf("%v/%s: smp.New: %v", kind, routing, err)
 			}

@@ -8,13 +8,11 @@ package cluster
 //
 // Everything here is inert by construction when the fleet is configured
 // without chaos, deadlines, hedging, or shedding: no PRNG streams exist,
-// the timer heap stays empty, every machine stays Healthy with health
+// the timer engine stays empty, every machine stays Healthy with health
 // exactly 1.0, and the coordinator's event order is byte-identical to the
 // pre-resilience fleet.
 
 import (
-	"container/heap"
-
 	"itsim/internal/chaos"
 	"itsim/internal/obs"
 	"itsim/internal/sim"
@@ -124,50 +122,26 @@ const (
 	timerHedge
 )
 
-// timer is one pending lifecycle deadline. seq breaks same-instant ties in
-// creation order, keeping the heap's pop order deterministic.
+// timer is one pending lifecycle deadline, a handler on the fleet's timer
+// engine: timers due at one instant fire in creation order.
 type timer struct {
-	at   sim.Time
-	seq  uint64
+	f    *fleet
 	kind timerKind
 	a    *attempt // timerTimeout
 	r    *request // timerRetry / timerHedge
 	d    sim.Time // deadline, backoff delay, or hedge delay (event Dur)
 }
 
-type timerHeap []*timer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// Fire implements sim.Handler.
+func (t *timer) Fire(now sim.Time) {
+	switch t.kind {
+	case timerTimeout:
+		t.f.fireTimeout(t, now)
+	case timerRetry:
+		t.f.fireRetry(t, now)
+	case timerHedge:
+		t.f.fireHedge(t, now)
 	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
-}
-
-// schedule pushes a lifecycle timer.
-func (f *fleet) schedule(t *timer) {
-	t.seq = f.timerSeq
-	f.timerSeq++
-	heap.Push(&f.timers, t)
-}
-
-// nextTimer peeks the earliest pending timer instant.
-func (f *fleet) nextTimer() sim.Time {
-	if len(f.timers) == 0 {
-		return never
-	}
-	return f.timers[0].at
 }
 
 // nextChaos is the earliest pending machine-state instant: a timed state
@@ -286,7 +260,7 @@ func (f *fleet) dispatch(r *request, hedge bool, now sim.Time) {
 	}
 	f.place(a, now)
 	if d := f.cfg.Tenants[r.tenant].Deadline; d > 0 {
-		f.schedule(&timer{at: now + d, kind: timerTimeout, a: a, d: d})
+		f.timers.ScheduleHandler(now+d, &timer{f: f, kind: timerTimeout, a: a, d: d})
 	}
 }
 
@@ -447,22 +421,6 @@ func (f *fleet) applyBrown(m *machineState, now sim.Time) {
 	}
 }
 
-// fireTimers processes every lifecycle timer pending at now, in schedule
-// order.
-func (f *fleet) fireTimers(now sim.Time) {
-	for len(f.timers) > 0 && f.timers[0].at == now {
-		t := heap.Pop(&f.timers).(*timer)
-		switch t.kind {
-		case timerTimeout:
-			f.fireTimeout(t, now)
-		case timerRetry:
-			f.fireRetry(t, now)
-		case timerHedge:
-			f.fireHedge(t, now)
-		}
-	}
-}
-
 // fireTimeout cancels an attempt that outlived its tenant deadline, then
 // retries the request (after seeded backoff) or fails it.
 func (f *fleet) fireTimeout(t *timer, now sim.Time) {
@@ -504,7 +462,7 @@ func (f *fleet) fireTimeout(t *timer, now sim.Time) {
 		seed := requestSeed(spec.baseSeed(r.tenant, f.cfg.Seed), r.seq)
 		jitter := sim.Time(mix64(seed^retryJitterTweak^uint64(r.dispatches)*requestSeedMix) % uint64(base/2+1))
 		delay := backoff + jitter
-		f.schedule(&timer{at: now + delay, kind: timerRetry, r: r, d: delay})
+		f.timers.ScheduleHandler(now+delay, &timer{f: f, kind: timerRetry, r: r, d: delay})
 		return
 	}
 	r.failed = true
@@ -583,7 +541,7 @@ func (f *fleet) armHedge(r *request, now sim.Time) {
 	if delay < 1 {
 		delay = 1
 	}
-	f.schedule(&timer{at: now + delay, kind: timerHedge, r: r, d: delay})
+	f.timers.ScheduleHandler(now+delay, &timer{f: f, kind: timerHedge, r: r, d: delay})
 }
 
 // chaosSchedules attaches per-machine chaos schedules when chaos is

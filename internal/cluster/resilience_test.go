@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"testing"
 
 	"itsim/internal/chaos"
+	"itsim/internal/obs"
 	"itsim/internal/policy"
 	"itsim/internal/sim"
 	"itsim/internal/workload"
@@ -41,6 +45,18 @@ func chaoticFleetConfig(seed uint64, routing string) Config {
 	}
 }
 
+// checkDigest compares the SHA-256 of a fleet's summary JSON or trace with
+// a digest recorded while the fleet's timers still ran on their own heap, so
+// a change in timer order or timing fails here and not only in bench/'s
+// golden.
+func checkDigest(t *testing.T, what, data, want string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(data))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("fleet %s drifted: sha256 %s, want %s", what, got, want)
+	}
+}
+
 // TestChaoticFleetDeterminism: same seeds ⇒ byte-identical summaries even
 // with crashes, re-homing, timeouts and retries in the loop; changing the
 // chaos seed alone must change the outcome.
@@ -62,6 +78,7 @@ func TestChaoticFleetDeterminism(t *testing.T) {
 	if a != b {
 		t.Errorf("identically-seeded chaotic runs differ:\n%s\n%s", a, b)
 	}
+	checkDigest(t, "summary", a, "4ce36efe48910369d990673e82166d0267e08c516652ee7e06a140b119ad4e91")
 	if c := runJSON(10); c == a {
 		t.Errorf("chaos seed change produced an identical summary")
 	}
@@ -244,6 +261,53 @@ func TestHedgingDispatchesAndWins(t *testing.T) {
 	if ts.HedgeWins > ts.Hedges {
 		t.Errorf("hedge wins %d exceed hedges %d", ts.HedgeWins, ts.Hedges)
 	}
+	b, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDigest(t, "summary", string(b), "a549abd4ff58b93bc648dc2e47161e0a5e75e776f5e6177e7f96dd9383afdb29")
+}
+
+// TestLifecycleTimersDigest pins a fleet whose three timer kinds all fire
+// (timeouts, retries and hedges on two tenants): its summary, and its trace
+// of request-lifecycle events, whose timestamps move with any timer.
+func TestLifecycleTimersDigest(t *testing.T) {
+	var trace bytes.Buffer
+	filter, err := obs.ParseFilter("RequestArrive,RequestRoute,RequestDone,ReqTimeout,ReqRetry,ReqHedge,ReqShed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Machines: 3,
+		Slots:    1,
+		Policy:   policy.Sync,
+		Routing:  LeastLoaded,
+		Scale:    0.5,
+		Tracer:   obs.NewTracer(obs.NewJSONL(&trace), filter),
+		Tenants: []TenantSpec{
+			{Name: "hedger", Bench: workload.RandomWalk, Requests: 30, Priority: 1,
+				Rate: 2000, Hedge: true},
+			{Name: "tight", Bench: workload.Caffe, Requests: 12, Priority: 3,
+				Rate: 2000, Deadline: 1500 * sim.Microsecond, Retries: 3},
+		},
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c := res.Summary.Chaos
+	if c == nil || c.Timeouts == 0 || c.Retries == 0 || c.Hedges == 0 {
+		t.Fatalf("want timeouts, retries and hedges, got %+v", c)
+	}
+	b, err := json.Marshal(res.Summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDigest(t, "summary", string(b), "22b78c0c110b02645565dc5e2a9b5e58a21463aef332d6639226b933bad96f6c")
+	checkDigest(t, "trace", trace.String(), "4aa0c756c1e6857862e2a030057061244c12996eb0b37b695dc515da8bc798ef")
 }
 
 // TestPriorityShedding: at ShedDepth the low-priority tenant is rejected,

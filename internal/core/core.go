@@ -110,17 +110,6 @@ func specsFor(b workload.Batch, scale float64) []machine.ProcessSpec {
 	return specs
 }
 
-// policyFactory returns a constructor for kind that builds a fresh policy
-// instance per call — the SMP model runs one instance per core.
-func policyFactory(kind policy.Kind, its policy.ITSConfig) func() policy.Policy {
-	return func() policy.Policy {
-		if kind == policy.ITS {
-			return policy.NewITS(its)
-		}
-		return policy.New(kind)
-	}
-}
-
 // runMachine builds the machine for cfg through internal/smp (Cores=1 is the
 // paper's single-core platform), runs the specs on it and returns the
 // metrics. Invalid configurations come back as errors from smp.New.
@@ -145,7 +134,7 @@ func runInstance(cfg machine.Config, pol policy.Policy, name string, specs []mac
 // RunBatch executes one batch under one policy kind. The ITS kind honours
 // opts.ITS.
 func RunBatch(b workload.Batch, kind policy.Kind, opts Options) (*metrics.Run, error) {
-	return RunBatchWithPolicyFactory(b, policyFactory(kind, opts.ITS), opts)
+	return RunBatchWithPolicyFactory(b, policy.Factory(kind, opts.ITS), opts)
 }
 
 // RunBatchWithPolicyFactory executes one batch under a custom policy; the

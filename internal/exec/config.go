@@ -32,9 +32,10 @@ const (
 	DefaultL1Hit = 1 * sim.Nanosecond
 	// DefaultLLCHit is the LLC hit latency.
 	DefaultLLCHit = 12 * sim.Nanosecond
-	// DefaultInstPerNs is instructions retired per nanosecond of pure
-	// compute (2 ⇒ 0.5 ns per instruction, a 2 GHz core at IPC 1).
-	DefaultInstPerNs = 2
+	// InstPerNs is instructions retired per nanosecond of pure compute
+	// (2 ⇒ 0.5 ns per instruction, a 2 GHz core at IPC 1): the rate that
+	// converts a record's instruction gap to time.
+	InstPerNs = 2
 	// DefaultLookahead is how many upcoming records the pre-execute
 	// engine can see (the effective instruction window during runahead).
 	DefaultLookahead = 256
@@ -65,11 +66,6 @@ type Config struct {
 	// L1Hit/LLCHit are hit latencies.
 	L1Hit  sim.Time
 	LLCHit sim.Time
-	// InstPerNs converts instruction gaps to time.
-	InstPerNs int
-	// DRAMFrames fixes physical memory size in frames; when zero,
-	// DRAMRatio × (batch footprint pages) is used.
-	DRAMFrames int
 	// DRAMRatio sizes DRAM relative to the batch's aggregate footprint
 	// (the paper tailors DRAM to the working set; contention comes from
 	// the sum exceeding capacity).
@@ -148,7 +144,6 @@ func DefaultConfig() Config {
 		L1Ways:        8,
 		L1Hit:         DefaultL1Hit,
 		LLCHit:        DefaultLLCHit,
-		InstPerNs:     DefaultInstPerNs,
 		DRAMRatio:     0.75,
 		Replacement:   mem.ReplaceClock,
 		Device:        storage.DefaultConfig(),

@@ -128,9 +128,6 @@ func (c *Core) RunUntil(horizon sim.Time) {
 				c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvProcFinish, PID: p.PID,
 					Dur: c.Eng.Now() - c.DispatchedAt})
 			}
-			if c.Eng.Now() > s.Run.Makespan {
-				s.Run.Makespan = c.Eng.Now()
-			}
 			c.Cur = nil
 			if c.Sch.Alive() > 0 {
 				c.chargeSwitch(p)
@@ -140,16 +137,8 @@ func (c *Core) RunUntil(horizon sim.Time) {
 		// Compute gap (once per record, even across fault retries).
 		if rec.Gap > 0 && !p.gapPaid {
 			p.instCarry += uint64(rec.Gap)
-			var d sim.Time
-			if s.instShift >= 0 {
-				// Power-of-two InstPerNs (the default): shift/mask is
-				// the same quotient/remainder without a per-record div.
-				d = sim.Time(p.instCarry >> uint(s.instShift))
-				p.instCarry &= s.instMask
-			} else {
-				d = sim.Time(p.instCarry / uint64(s.Cfg.InstPerNs))
-				p.instCarry %= uint64(s.Cfg.InstPerNs)
-			}
+			d := sim.Time(p.instCarry / InstPerNs)
+			p.instCarry %= InstPerNs
 			if d > 0 {
 				c.advance(p, d)
 			}
@@ -202,8 +191,6 @@ func (c *Core) RunUntil(horizon sim.Time) {
 // the full clock cost (including the pollution tail) so per-core time
 // conservation closes exactly.
 func (c *Core) chargeSwitch(p *Proc) {
-	s := c.S
-	s.Run.ContextSwitchTime += kernel.ContextSwitchCost
 	p.Met.ContextSwitches++
 	cost := kernel.ContextSwitchCost + kernel.SwitchPollutionCost
 	if c.TLB != nil {
@@ -220,7 +207,7 @@ func (c *Core) chargeSwitch(p *Proc) {
 		// §2.1.1) surfaces as memory stall.
 		p.Met.MemStall += kernel.SwitchPollutionCost
 	}
-	if s.Want[obs.EvContextSwitch] {
+	if c.S.Want[obs.EvContextSwitch] {
 		// Dur is the full clock advance (switch plus pollution tail) so
 		// the auditor's time-conservation ledger balances.
 		c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvContextSwitch, PID: p.PID, Dur: cost})
@@ -290,7 +277,6 @@ func (c *Core) access(p *Proc, rec trace.Record) (blockedOut bool) {
 				}
 				c.advance(p, kernel.MinorFaultCost)
 				s.Krn.ChargeHandler(kernel.MinorFaultCost)
-				s.Run.FaultHandlerTime += kernel.MinorFaultCost
 			}
 			c.cacheAccess(p, rec.Addr)
 			return false
@@ -451,7 +437,6 @@ func (c *Core) majorFault(p *Proc, rec trace.Record) (blocked bool) {
 	p.Met.MajorFaults++
 	c.advance(p, kernel.FaultEntryCost)
 	s.Krn.ChargeHandler(kernel.FaultEntryCost)
-	s.Run.FaultHandlerTime += kernel.FaultEntryCost
 
 	// The context lives on the Core (scratch, reused every fault): passing
 	// a stack struct through the Policy interface would force a heap
@@ -480,7 +465,6 @@ func (c *Core) majorFault(p *Proc, rec trace.Record) (blocked bool) {
 	if d.DispatchCost > 0 {
 		c.advance(p, d.DispatchCost)
 		s.Krn.ChargeHandler(d.DispatchCost)
-		s.Run.FaultHandlerTime += d.DispatchCost
 	}
 
 	// Start the victim page's DMA first (it is the critical path), then
@@ -619,7 +603,6 @@ func (c *Core) endRecovery(p *Proc, windowStart, done sim.Time) {
 		c.advance(p, InterruptCost)
 		p.Met.RecoveryOverhead += InterruptCost
 		s.Krn.ChargeHandler(InterruptCost)
-		s.Run.FaultHandlerTime += InterruptCost
 		if s.Want[obs.EvRecovery] {
 			c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvRecovery, PID: p.PID,
 				Dur: InterruptCost, Cause: "interrupt"})

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"errors"
-	"math/bits"
 
 	"itsim/internal/bus"
 	"itsim/internal/cache"
@@ -54,13 +53,6 @@ type Shared struct {
 	// are frequent (one per asynchronous swap-in) and short-lived, so
 	// pooling them keeps the hot loop allocation-free.
 	pioFree *PendingIO
-
-	// instShift/instMask replace the per-record div/mod in the gap
-	// conversion when InstPerNs is a power of two (the default, 2):
-	// gap >> instShift and gap & instMask compute the identical quotient
-	// and remainder. instShift is -1 when InstPerNs is not a power of two.
-	instShift int
-	instMask  uint64
 }
 
 // getPendingIO pops a recycled completion struct (or allocates the first
@@ -105,15 +97,6 @@ func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string,
 	if len(specs) == 0 {
 		return nil, errors.New("exec: no processes")
 	}
-	if cfg.InstPerNs <= 0 {
-		cfg.InstPerNs = DefaultInstPerNs
-	}
-	instShift := -1
-	var instMask uint64
-	if n := uint64(cfg.InstPerNs); n&(n-1) == 0 {
-		instShift = bits.TrailingZeros64(n)
-		instMask = n - 1
-	}
 	if cfg.Lookahead <= 0 {
 		cfg.Lookahead = DefaultLookahead
 	}
@@ -143,14 +126,11 @@ func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string,
 		llcWays = share
 	}
 
-	frames := cfg.DRAMFrames
-	if frames == 0 {
-		var pages uint64
-		for _, s := range specs {
-			pages += trace.FootprintPages(s.Gen.FootprintBytes())
-		}
-		frames = int(cfg.DRAMRatio * float64(pages))
+	var pages uint64
+	for _, s := range specs {
+		pages += trace.FootprintPages(s.Gen.FootprintBytes())
 	}
+	frames := int(cfg.DRAMRatio * float64(pages))
 	if frames < 64 {
 		frames = 64
 	}
@@ -168,13 +148,11 @@ func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string,
 		dev.SetInjector(fault.New(cfg.Fault))
 	}
 	s := &Shared{
-		Cfg:       cfg,
-		Krn:       kernel.New(mem.NewDRAM(frames, cfg.Replacement), dev),
-		LLC:       reuseCache(oldLLC, cache.Config{SizeBytes: llcSize, LineBytes: cfg.LineBytes, Ways: llcWays}),
-		Run:       metrics.NewRun(pols[0].Name(), batchName),
-		Inflight:  make(map[InflightKey]sim.Time),
-		instShift: instShift,
-		instMask:  instMask,
+		Cfg:      cfg,
+		Krn:      kernel.New(mem.NewDRAM(frames, cfg.Replacement), dev),
+		LLC:      reuseCache(oldLLC, cache.Config{SizeBytes: llcSize, LineBytes: cfg.LineBytes, Ways: llcWays}),
+		Run:      metrics.NewRun(pols[0].Name(), batchName),
+		Inflight: make(map[InflightKey]sim.Time),
 	}
 
 	// Pin every core's slice mapping to the batch-global priority range

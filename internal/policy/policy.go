@@ -172,6 +172,18 @@ func New(kind Kind) Policy {
 	}
 }
 
+// Factory returns a constructor that builds a fresh kind policy per call:
+// policies are stateful, and the smp model runs one instance per core. its
+// configures ITS and is ignored for every other kind.
+func Factory(kind Kind, its ITSConfig) func() Policy {
+	return func() Policy {
+		if kind == ITS {
+			return NewITS(its)
+		}
+		return New(kind)
+	}
+}
+
 type asyncPolicy struct{}
 
 func (asyncPolicy) Kind() Kind   { return Async }

@@ -213,14 +213,21 @@ func (m *Machine) Run() (*metrics.Run, error) {
 		}
 	}
 
-	var makespan sim.Time
+	// The run-level time ledger, each entry set once from the value it
+	// always equals: the per-core idle, one switch cost per counted
+	// context switch, and the kernel's handler time.
+	var makespan, idle sim.Time
 	for _, c := range s.Cores {
 		c.Met.LocalClock = c.Eng.Now()
 		if c.Eng.Now() > makespan {
 			makespan = c.Eng.Now()
 		}
+		idle += c.Met.SchedulerIdle
 	}
 	s.Run.Makespan = makespan
+	s.Run.SchedulerIdle = idle
+	s.Run.ContextSwitchTime = kernel.ContextSwitchCost * sim.Time(s.Run.TotalContextSwitches())
+	s.Run.FaultHandlerTime = s.Krn.Stats().HandlerTime
 	s.Trc.Emit(obs.Event{Time: makespan, Type: obs.EvRunEnd, PID: -1})
 	for _, c := range s.Cores {
 		c.Aud.Write(obs.Event{Time: c.Eng.Now(), Type: obs.EvRunEnd, PID: -1, Core: c.ID})
@@ -267,9 +274,7 @@ func (m *Machine) step(c *exec.Core, horizon sim.Time) error {
 			if !c.Eng.StepOne() {
 				return fmt.Errorf("smp: core %d has no runnable process and no pending event at %v", c.ID, t0)
 			}
-			d := c.Eng.Now() - t0
-			s.Run.SchedulerIdle += d
-			c.Met.SchedulerIdle += d
+			c.Met.SchedulerIdle += c.Eng.Now() - t0
 			if s.Want[obs.EvSchedIdleEnd] {
 				c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvSchedIdleEnd, PID: -1})
 			}
@@ -293,9 +298,7 @@ func (m *Machine) steal(c *exec.Core, p *exec.Proc, at sim.Time) {
 			c.Emit(obs.Event{Time: t0, Type: obs.EvSchedIdleBegin, PID: -1})
 		}
 		c.Eng.AdvanceTo(at) // fires nothing: local events are later by construction
-		d := at - t0
-		s.Run.SchedulerIdle += d
-		c.Met.SchedulerIdle += d
+		c.Met.SchedulerIdle += at - t0
 		if s.Want[obs.EvSchedIdleEnd] {
 			c.Emit(obs.Event{Time: at, Type: obs.EvSchedIdleEnd, PID: -1})
 		}
@@ -326,7 +329,6 @@ func (m *Machine) steal(c *exec.Core, p *exec.Proc, at sim.Time) {
 	// Migration is pure state movement: one context-switch cost, charged
 	// to the thief core and counted against the migrated process. Cache
 	// and TLB pollution is emergent — the process starts cold here.
-	s.Run.ContextSwitchTime += kernel.ContextSwitchCost
 	c.Met.ContextSwitchTime += kernel.ContextSwitchCost
 	p.Met.ContextSwitches++
 	c.Eng.AdvanceTo(c.Eng.Now() + kernel.ContextSwitchCost)
