@@ -40,6 +40,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -80,6 +81,9 @@ func main() {
 	flag.Parse()
 	if _, err := run(os.Stdout, p); err != nil {
 		fmt.Fprintln(os.Stderr, "itsbench:", err)
+		if errors.Is(err, workload.ErrScale) {
+			os.Exit(2) // a bad -scale is a usage error, like a bad flag
+		}
 		os.Exit(1)
 	}
 }
@@ -141,6 +145,9 @@ func run(w io.Writer, p params) (*jsonDoc, error) {
 		needGrid = true
 	default:
 		return nil, fmt.Errorf("unknown experiment %q", p.exp)
+	}
+	if err := workload.CheckScale(p.scale); err != nil {
+		return nil, err
 	}
 	chaosCfg, err := chaos.ParseSpec(p.chaos)
 	if err != nil {

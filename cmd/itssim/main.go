@@ -24,6 +24,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -74,6 +75,9 @@ func main() {
 
 	if err := run(p); err != nil {
 		fmt.Fprintln(os.Stderr, "itssim:", err)
+		if errors.Is(err, workload.ErrScale) {
+			os.Exit(2) // a bad -scale is a usage error, like a bad flag
+		}
 		os.Exit(1)
 	}
 }
@@ -81,6 +85,9 @@ func main() {
 func run(p params) error {
 	if p.format != "text" && p.format != "json" {
 		return fmt.Errorf("unknown format %q (want text or json)", p.format)
+	}
+	if err := workload.CheckScale(p.scale); err != nil {
+		return err
 	}
 	b, err := workload.BatchByName(p.batch)
 	if err != nil {

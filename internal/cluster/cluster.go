@@ -210,7 +210,7 @@ func (c *Config) specFor(ti, seq int) (machine.ProcessSpec, workload.Profile) {
 	t := c.Tenants[ti]
 	prof, err := workload.ProfileFor(t.Bench, t.scale(c.Scale))
 	if err != nil {
-		// Validate vetted every tenant's bench and scale already.
+		// Run vetted every tenant's bench at its scale already.
 		panic(err)
 	}
 	prof.Seed = requestSeed(t.baseSeed(ti, c.Seed), seq)
@@ -333,6 +333,11 @@ func Run(cfg Config) (*Result, error) {
 	f.tAccs = make([]tenantAcc, len(cfg.Tenants))
 	f.trackers = make([]*workload.QuantileTracker, len(cfg.Tenants))
 	for ti, t := range cfg.Tenants {
+		// Validate bounds each scale alone; their product must still
+		// give a profile (specFor builds one per request).
+		if _, err := workload.ProfileFor(t.Bench, t.scale(cfg.Scale)); err != nil {
+			return nil, fmt.Errorf("cluster: tenant %s: %w", t.Name, err)
+		}
 		if t.Priority > f.maxPrio {
 			f.maxPrio = t.Priority
 		}

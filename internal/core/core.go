@@ -25,7 +25,9 @@ import (
 // Options configure an experiment run.
 type Options struct {
 	// Scale multiplies workload footprints and trace lengths (1.0 = the
-	// full-size experiment; tests use much smaller values).
+	// full-size experiment; tests use much smaller values). The zero
+	// value selects 1.0; a scale workload.ProfileFor refuses is an error
+	// from the run functions.
 	Scale float64
 	// Cores selects the simulated core count (the -cores flag). 0 defers
 	// to Machine (or the paper's single core); values above 1 add per-core
@@ -62,7 +64,7 @@ type Options struct {
 }
 
 func (o Options) scale() float64 {
-	if o.Scale <= 0 {
+	if o.Scale == 0 {
 		return 1.0
 	}
 	return o.Scale
@@ -95,11 +97,16 @@ func (o Options) machineConfig(b workload.Batch) machine.Config {
 	return cfg
 }
 
-// specsFor builds the machine process specs for a batch.
-func specsFor(b workload.Batch, scale float64) []machine.ProcessSpec {
-	gens := b.Generators(scale)
-	specs := make([]machine.ProcessSpec, len(gens))
-	for i, g := range gens {
+// specsFor builds the machine process specs for a batch, or returns
+// workload.ProfileFor's error for a scale it refuses.
+func specsFor(b workload.Batch, scale float64) ([]machine.ProcessSpec, error) {
+	specs := make([]machine.ProcessSpec, len(b.Members))
+	for i, name := range b.Members {
+		p, err := workload.ProfileFor(name, scale)
+		if err != nil {
+			return nil, err
+		}
+		g := workload.New(p)
 		specs[i] = machine.ProcessSpec{
 			Name:     g.Name(),
 			Gen:      g,
@@ -107,7 +114,7 @@ func specsFor(b workload.Batch, scale float64) []machine.ProcessSpec {
 			BaseVA:   workload.BaseVA,
 		}
 	}
-	return specs
+	return specs, nil
 }
 
 // runMachine builds the machine for cfg through internal/smp (Cores=1 is the
@@ -141,7 +148,11 @@ func RunBatch(b workload.Batch, kind policy.Kind, opts Options) (*metrics.Run, e
 // factory must return a fresh instance per call (policies are stateful, and
 // multi-core runs instantiate one per core).
 func RunBatchWithPolicyFactory(b workload.Batch, newPolicy func() policy.Policy, opts Options) (*metrics.Run, error) {
-	run, err := runMachine(opts.machineConfig(b), newPolicy, b.Name, specsFor(b, opts.scale()), opts)
+	specs, err := specsFor(b, opts.scale())
+	var run *metrics.Run
+	if err == nil {
+		run, err = runMachine(opts.machineConfig(b), newPolicy, b.Name, specs, opts)
+	}
 	if err != nil {
 		name := "?"
 		if newPolicy != nil {
@@ -159,7 +170,11 @@ func RunBatchWithPolicyFactory(b workload.Batch, newPolicy func() policy.Policy,
 // stateful instance cannot be shared across cores, multi-core options
 // return an error — use RunBatchWithPolicyFactory there.
 func RunBatchWithPolicy(b workload.Batch, pol policy.Policy, opts Options) (*metrics.Run, error) {
-	run, err := runInstance(opts.machineConfig(b), pol, b.Name, specsFor(b, opts.scale()), opts)
+	specs, err := specsFor(b, opts.scale())
+	var run *metrics.Run
+	if err == nil {
+		run, err = runInstance(opts.machineConfig(b), pol, b.Name, specs, opts)
+	}
 	if err != nil {
 		return run, fmt.Errorf("core: batch %s under %s: %w", b.Name, pol.Name(), err)
 	}

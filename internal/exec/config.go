@@ -36,9 +36,11 @@ const (
 	// (2 ⇒ 0.5 ns per instruction, a 2 GHz core at IPC 1): the rate that
 	// converts a record's instruction gap to time.
 	InstPerNs = 2
-	// DefaultLookahead is how many upcoming records the pre-execute
-	// engine can see (the effective instruction window during runahead).
-	DefaultLookahead = 256
+	// Lookahead is how many upcoming records the pre-execute engine can
+	// see (the effective instruction window during runahead), counting
+	// the faulting one: each process's record ring holds this many.
+	// A power of two, so ring positions wrap with a mask.
+	Lookahead = 256
 )
 
 // InterruptCost is the DMA completion interrupt's handling cost charged when
@@ -77,8 +79,6 @@ type Config struct {
 	// BusLanes/LaneBandwidth parameterize the PCIe link.
 	BusLanes      int
 	LaneBandwidth int64
-	// Lookahead bounds the pre-execute window in records.
-	Lookahead int
 	// MinSlice/MaxSlice are the SCHED_RR NICE slice bounds. The paper
 	// uses 5 ms…800 ms over minutes-long traces; scaled-down traces
 	// scale these with the workload so round-robin rotation dynamics are
@@ -149,7 +149,6 @@ func DefaultConfig() Config {
 		Device:        storage.DefaultConfig(),
 		BusLanes:      bus.DefaultLanes,
 		LaneBandwidth: bus.DefaultLaneBandwidth,
-		Lookahead:     DefaultLookahead,
 	}
 }
 
@@ -307,7 +306,8 @@ type ProcessSpec struct {
 	// on fleet runs (internal/cluster); empty elsewhere. Carried through
 	// to metrics.Process.Tenant so fleet traces attribute per tenant.
 	Tenant string
-	// Gen supplies the trace.
+	// Gen supplies the trace. Each process owns its generator: the
+	// executor draws up to Lookahead records ahead of execution.
 	Gen trace.Generator
 	// Priority is the scheduling priority (larger = higher).
 	Priority int

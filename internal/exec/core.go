@@ -63,7 +63,7 @@ type Core struct {
 	pctx policy.Context
 	// pxEnv is the pre-execute environment built once per core: its
 	// callbacks close over the core and read pxP/pxAS, set per episode.
-	// Without this, every synchronous fault allocated eight closures.
+	// Without this, every synchronous fault allocated five closures.
 	pxEnv  preexec.Env
 	pxInit bool
 	pxP    *Proc
@@ -214,25 +214,25 @@ func (c *Core) chargeSwitch(p *Proc) {
 	}
 }
 
-// peek returns the i-th unexecuted record (0 = next), refilling the
-// lookahead ring from the generator. Peeks beyond the configured
-// lookahead window report end-of-window: the pre-execute engine's
-// visibility is bounded by the hardware instruction window it models.
-// Records decode straight into ring slots — the executor's per-record
-// path performs no allocation.
+// peek returns the i-th unexecuted record (0 = next), filling the
+// lookahead ring from the generator up to it. Peeks beyond the Lookahead
+// window report end-of-window: the pre-execute engine's visibility is
+// bounded by the hardware instruction window it models. Records decode
+// straight into ring slots — the executor's per-record path performs no
+// allocation.
 func (c *Core) peek(p *Proc, i int) (trace.Record, bool) {
-	if i >= c.S.Cfg.Lookahead {
+	if i >= Lookahead {
 		return trace.Record{}, false
 	}
 	for !p.drained && p.size <= i {
-		if !p.Spec.Gen.Next(&p.look[(p.head+p.size)&p.mask]) {
+		if !p.Spec.Gen.Next(&p.look[(p.head+p.size)&(Lookahead-1)]) {
 			p.drained = true
 			break
 		}
 		p.size++
 	}
 	if i < p.size {
-		return p.look[(p.head+i)&p.mask], true
+		return p.look[(p.head+i)&(Lookahead-1)], true
 	}
 	return trace.Record{}, false
 }
@@ -240,7 +240,7 @@ func (c *Core) peek(p *Proc, i int) (trace.Record, bool) {
 // pop consumes the head record.
 func (c *Core) pop(p *Proc) {
 	p.gapPaid = false
-	p.head = (p.head + 1) & p.mask
+	p.head = (p.head + 1) & (Lookahead - 1)
 	p.size--
 }
 
@@ -623,9 +623,13 @@ func (c *Core) endRecovery(p *Proc, windowStart, done sim.Time) {
 }
 
 // pxEnvFor points the core's cached pre-execute environment at p and the
-// faulting record. The callbacks are built once per core (closing only over
-// the core) and dereference pxP/pxAS, so an episode costs zero allocations
-// instead of eight closures.
+// faulting record at the head of p's ring. The callbacks are built once per
+// core (closing only over the core) and dereference pxP/pxAS, so an episode
+// costs zero allocations instead of five closures. The window is the ring
+// itself: records 1..Lookahead-1 after the head, decoded once per episode
+// and handed over in place as the (at most two) ring pieces they occupy.
+// Each process owns its generator, so decoding ahead of need changes when a
+// record is drawn, never which record it is.
 func (c *Core) pxEnvFor(p *Proc, faulting trace.Record) {
 	c.pxP = p
 	c.pxAS = p.KP.AS
@@ -633,16 +637,9 @@ func (c *Core) pxEnvFor(p *Proc, faulting trace.Record) {
 		c.pxInit = true
 		s := c.S
 		c.pxEnv = preexec.Env{
-			Lookahead: func(i int) (trace.Record, bool) {
-				return c.peek(c.pxP, 1+i)
-			},
-			PagePresent: func(va uint64) bool {
-				pte, ok := c.pxAS.Lookup(va)
-				return ok && pte.Present()
-			},
-			PTEINV: func(va uint64) bool {
-				pte, ok := c.pxAS.Lookup(va)
-				return ok && pte.INV()
+			Page: func(va uint64) (present, inv bool) {
+				pte, _ := c.pxAS.Lookup(va)
+				return pte.Present(), pte.INV()
 			},
 			SetPTEINV: func(va uint64) {
 				c.pxAS.Update(va, setINV)
@@ -664,6 +661,10 @@ func (c *Core) pxEnvFor(p *Proc, faulting trace.Record) {
 			},
 		}
 	}
+	c.peek(p, Lookahead-1)
+	start, n := (p.head+1)&(Lookahead-1), p.size-1
+	first := min(n, Lookahead-start)
+	c.pxEnv.Window = [2][]trace.Record{p.look[start : start+first], p.look[:n-first]}
 	c.pxEnv.FaultVA = faulting.Addr
 	c.pxEnv.FaultDst = faulting.Dst
 }
@@ -685,7 +686,7 @@ func (c *Core) preExecute(p *Proc, faulting trace.Record, window sim.Time) {
 		c.lastPXPid = p.PID
 	}
 	c.pxEnvFor(p, faulting)
-	res := c.PX.Run(window, c.pxEnv)
+	res := c.PX.Run(window, &c.pxEnv)
 	if res.Used > 0 {
 		c.advance(p, res.Used)
 		p.Met.StolenPreexec += res.Used - res.Overhead

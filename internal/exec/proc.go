@@ -36,13 +36,11 @@ type Proc struct {
 	// recycle of the underlying sim.Event safe.
 	Pending []*PendingIO
 
-	// look is the lookahead ring of fetched-but-unexecuted records, sized
-	// to the configured lookahead window (power of two; mask = len-1).
-	// Records are decoded straight into ring slots, so the hot loop never
-	// allocates per record; head indexes the next record to execute and
-	// size counts the buffered records.
+	// look is the lookahead ring of fetched-but-unexecuted records,
+	// Lookahead long. Records are decoded straight into ring slots, so
+	// the hot loop never allocates per record; head indexes the next
+	// record to execute and size counts the buffered records.
 	look []trace.Record
-	mask int
 	head int
 	size int
 	// drained means the generator is exhausted.

@@ -97,9 +97,6 @@ func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string,
 	if len(specs) == 0 {
 		return nil, errors.New("exec: no processes")
 	}
-	if cfg.Lookahead <= 0 {
-		cfg.Lookahead = DefaultLookahead
-	}
 	if cfg.DRAMRatio <= 0 {
 		cfg.DRAMRatio = 0.75
 	}
@@ -212,12 +209,7 @@ func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string,
 		sp.Gen.Reset()
 		p := &Proc{PID: pid, Spec: sp, Met: s.Run.AddProcess(pid, sp.Name, sp.Priority), Owner: pid % n}
 		p.Met.Tenant = sp.Tenant
-		ringLen := 1
-		for ringLen < cfg.Lookahead {
-			ringLen <<= 1
-		}
-		p.look = make([]trace.Record, ringLen)
-		p.mask = ringLen - 1
+		p.look = make([]trace.Record, Lookahead)
 		s.Procs = append(s.Procs, p)
 		s.Krn.AddProcess(pid, sp.Name, sp.Priority)
 		s.Krn.MapRegion(pid, sp.BaseVA, sp.Gen.FootprintBytes())

@@ -23,23 +23,12 @@ const FlagHuge PTE = 1 << 5
 // Huge reports the huge-mapping bit.
 func (p PTE) Huge() bool { return p&FlagHuge != 0 }
 
-// hugeIndex returns the PMD index path for va: the PGD and PUD nodes, plus
-// the PMD slot.
+// hugeEntry returns the PMD-level slot covering the canonical va, or nil
+// when alloc is false and the PMD table or its huge array is absent.
 func (a *AddressSpace) hugeEntry(va uint64, alloc bool) *PTE {
-	va = canonical(va)
-	n := &a.root
-	for l := 0; l < 2; l++ { // PGD, PUD
-		idx := indexAt(va, l)
-		next := n.kids[idx]
-		if next == nil {
-			if !alloc {
-				return nil
-			}
-			next = &node{kids: make([]*node, EntriesPerTable)}
-			n.kids[idx] = next
-			a.tablesAllocated++
-		}
-		n = next
+	n := a.pmdFor(va, alloc)
+	if n == nil {
+		return nil
 	}
 	if n.huge == nil {
 		if !alloc {
@@ -58,7 +47,7 @@ func (a *AddressSpace) hugeEntry(va uint64, alloc bool) *PTE {
 func (a *AddressSpace) MapHuge(va uint64, pte PTE) {
 	base := canonical(va) &^ uint64(HugePageSize-1)
 	// Refuse to shadow existing base mappings.
-	if pmd := a.pmdNode(base); pmd != nil && pmd.kids != nil {
+	if pmd := a.pmdFor(base, false); pmd != nil {
 		if child := pmd.kids[indexAt(base, 2)]; child != nil {
 			for _, e := range child.ptes {
 				if e != 0 {
@@ -67,10 +56,6 @@ func (a *AddressSpace) MapHuge(va uint64, pte PTE) {
 			}
 		}
 	}
-	// A huge mapping at the PMD level changes what Lookup must return for
-	// every VA in the region, including ones whose (empty) leaf table the
-	// lookup cache may hold.
-	a.lookPT = nil
 	e := a.hugeEntry(base, true)
 	old := *e
 	if old.Mapped() {
@@ -89,19 +74,6 @@ func (a *AddressSpace) MapHuge(va uint64, pte PTE) {
 			a.present += EntriesPerTable
 		}
 	}
-}
-
-// pmdNode returns the PMD-level node covering va, or nil.
-func (a *AddressSpace) pmdNode(va uint64) *node {
-	n := &a.root
-	for l := 0; l < 2; l++ {
-		next := n.kids[indexAt(va, l)]
-		if next == nil {
-			return nil
-		}
-		n = next
-	}
-	return n
 }
 
 // LookupHuge returns the huge-page PTE covering va, if one exists.
@@ -123,7 +95,6 @@ func (a *AddressSpace) SplitHuge(va uint64, split func(i int) PTE) bool {
 	if e == nil || *e == 0 {
 		return false
 	}
-	a.lookPT = nil
 	old := *e
 	*e = 0
 	if old.Mapped() {

@@ -117,20 +117,20 @@ type AddressSpace struct {
 	// tablesAllocated counts leaf+directory tables, exposed for memory
 	// overhead accounting and tests.
 	tablesAllocated int
-	// lookPT/lookTag cache the leaf table of the last successful Lookup
-	// descent (tag = va >> leafShift), mirroring a hardware paging-
-	// structure cache: Lookup runs once per simulated memory access, and
-	// sequential streams stay inside one 2 MiB leaf for thousands of
-	// records. Leaf tables are never freed or reallocated and Set writes
-	// through the same slice, so the only staleness hazard is a huge-page
-	// mapping appearing at the PMD level — MapHuge and SplitHuge drop the
-	// cache. Walk bypasses it: its level count feeds the timing model.
-	lookPT  []PTE
-	lookTag uint64
+	// pmd/pmdTag cache the PMD table of the last descent (tag = va >>
+	// pmdShift), mirroring a hardware paging-structure cache: Lookup
+	// runs once per simulated memory access and the page-table writes
+	// (Set, Update and the helpers built on them) on every fault, so
+	// both reach a PTE in two table reads instead of four. The cache
+	// never goes stale: tables are never freed or replaced, and huge
+	// mappings live in the cached node itself. Walk and VisitFrom
+	// bypass it: their level counts feed the timing model.
+	pmd    *node
+	pmdTag uint64
 }
 
-// leafShift is the VA shift selecting a leaf table (one 2 MiB reach).
-const leafShift = PageShift + 9
+// pmdShift is the VA shift selecting a PMD table (one 1 GiB reach).
+const pmdShift = PageShift + 18
 
 // New returns an empty address space.
 func New() *AddressSpace {
@@ -182,59 +182,67 @@ func (a *AddressSpace) Walk(va uint64) (pte PTE, levels int, ok bool) {
 // Lookup is Walk without the cost detail.
 func (a *AddressSpace) Lookup(va uint64) (PTE, bool) {
 	va = canonical(va)
-	if a.lookPT != nil && va>>leafShift == a.lookTag {
-		p := a.lookPT[indexAt(va, Levels-1)]
-		return p, p != 0
+	n := a.pmd
+	if n == nil || va>>pmdShift != a.pmdTag {
+		if n = a.pmdFor(va, false); n == nil {
+			return 0, false
+		}
 	}
-	return a.lookupSlow(va)
+	i := indexAt(va, 2)
+	if n.huge != nil {
+		if hp := n.huge[i]; hp != 0 {
+			return hp, true
+		}
+	}
+	t := n.kids[i]
+	if t == nil {
+		return 0, false
+	}
+	p := t.ptes[indexAt(va, Levels-1)]
+	return p, p != 0
 }
 
-// lookupSlow is the full descent behind Lookup's leaf cache; it seats the
-// cache whenever it reaches a leaf table. va is already canonical.
-func (a *AddressSpace) lookupSlow(va uint64) (PTE, bool) {
+// pmdFor returns the PMD table covering the canonical va and makes it the
+// cached one. With alloc it allocates the missing directory tables on the
+// way; without, it returns nil when the path is absent.
+func (a *AddressSpace) pmdFor(va uint64, alloc bool) *node {
 	n := &a.root
-	for l := 0; l < Levels-1; l++ {
-		if l == 2 && n.huge != nil {
-			if hp := n.huge[indexAt(va, 2)]; hp != 0 {
-				return hp, true
-			}
-		}
-		next := n.kids[indexAt(va, l)]
+	for l := 0; l < 2; l++ { // PGD, PUD
+		idx := indexAt(va, l)
+		next := n.kids[idx]
 		if next == nil {
-			return 0, false
+			if !alloc {
+				return nil
+			}
+			next = &node{kids: make([]*node, EntriesPerTable)}
+			n.kids[idx] = next
+			a.tablesAllocated++
 		}
 		n = next
 	}
-	a.lookPT = n.ptes
-	a.lookTag = va >> leafShift
-	p := n.ptes[indexAt(va, Levels-1)]
-	return p, p != 0
+	a.pmd, a.pmdTag = n, va>>pmdShift
+	return n
 }
 
 // entry returns a pointer to the leaf PTE for va, allocating intermediate
 // tables as needed.
 func (a *AddressSpace) entry(va uint64) *PTE {
 	va = canonical(va)
-	n := &a.root
-	for l := 0; l < Levels-1; l++ {
-		idx := indexAt(va, l)
-		if l == 2 && n.huge != nil && n.huge[idx] != 0 {
-			panic(fmt.Sprintf("pagetable: base-page access under huge mapping at %#x (SplitHuge first)", va))
-		}
-		next := n.kids[idx]
-		if next == nil {
-			next = &node{}
-			if l == Levels-2 {
-				next.ptes = make([]PTE, EntriesPerTable)
-			} else {
-				next.kids = make([]*node, EntriesPerTable)
-			}
-			n.kids[idx] = next
-			a.tablesAllocated++
-		}
-		n = next
+	n := a.pmd
+	if n == nil || va>>pmdShift != a.pmdTag {
+		n = a.pmdFor(va, true)
 	}
-	return &n.ptes[indexAt(va, Levels-1)]
+	i := indexAt(va, 2)
+	if n.huge != nil && n.huge[i] != 0 {
+		panic(fmt.Sprintf("pagetable: base-page access under huge mapping at %#x (SplitHuge first)", va))
+	}
+	t := n.kids[i]
+	if t == nil {
+		t = &node{ptes: make([]PTE, EntriesPerTable)}
+		n.kids[i] = t
+		a.tablesAllocated++
+	}
+	return &t.ptes[indexAt(va, Levels-1)]
 }
 
 // Set installs pte for va, maintaining the mapped/present counters. Setting

@@ -19,19 +19,18 @@ import (
 	"itsim/internal/trace"
 )
 
-// Env is the machine state the engine consults, expressed as callbacks so
-// the engine stays independent of the machine's internals (and trivially
-// testable).
+// Env is the machine state the engine consults: the upcoming records as
+// slices read in place, and callbacks for the page-table and cache probes,
+// so the engine stays independent of the machine's internals.
 type Env struct {
-	// Lookahead returns the i-th upcoming record after the faulting one
-	// (0-based) without consuming it, or false past the end of the
-	// available window.
-	Lookahead func(i int) (trace.Record, bool)
-	// PagePresent reports whether the page holding va is resident in
-	// DRAM (false ⇒ the data is in the storage device ⇒ invalid).
-	PagePresent func(va uint64) bool
-	// PTEINV reads the INV bit of va's page-table entry.
-	PTEINV func(va uint64) bool
+	// Window holds the records after the faulting one in program order:
+	// Window[0], then Window[1]. The executor's lookahead ring wraps, so
+	// the window can come in two pieces; either may be empty.
+	Window [2][]trace.Record
+	// Page reads the page-table entry of va once: present reports the
+	// page resident in DRAM (false ⇒ the data is in the storage device ⇒
+	// invalid), inv its INV bit.
+	Page func(va uint64) (present, inv bool)
 	// SetPTEINV sets the INV bit of va's page-table entry.
 	SetPTEINV func(va uint64)
 	// ClearPTEINV clears the INV bit of va's page-table entry; the
@@ -122,7 +121,7 @@ func New(pxc *cpu.PreExecCache) *Engine {
 // returns the episode report. State recovery at episode end restores the
 // register file and clears every PTE INV bit the episode set (via
 // env.ClearPTEINV).
-func (e *Engine) Run(window sim.Time, env Env) Result {
+func (e *Engine) Run(window sim.Time, env *Env) Result {
 	var res Result
 	overhead := cpu.CheckpointCost + cpu.RestoreCost
 	if window <= overhead {
@@ -139,26 +138,23 @@ func (e *Engine) Run(window sim.Time, env Env) Result {
 	var used sim.Time
 	faultPage := env.FaultVA &^ 0xFFF
 
-	for i := 0; ; i++ {
-		rec, ok := env.Lookahead(i)
-		if !ok {
-			break
-		}
-		cost := e.Costs.perInst(rec.Gap+1) + e.Costs.CacheProbe
-		if used+cost > budget {
-			break
-		}
-		used += cost
-		res.Instrs++
-
-		srcINV := e.RF.INV(rec.Src)
-		page := rec.Addr &^ 0xFFF
-		inStorage := page == faultPage || !env.PagePresent(rec.Addr)
-
-		if rec.Kind == trace.Store {
-			e.preStore(rec, srcINV, inStorage, env, &res, &used, budget)
-		} else {
-			e.preLoad(rec, srcINV, inStorage, env, &res, &used, budget)
+scan:
+	for _, seg := range env.Window {
+		for i := range seg {
+			rec := &seg[i]
+			cost := e.Costs.perInst(rec.Gap+1) + e.Costs.CacheProbe
+			if used+cost > budget {
+				break scan
+			}
+			used += cost
+			res.Instrs++
+			srcINV := e.RF.INV(rec.Src)
+			onFaultPage := rec.Addr&^0xFFF == faultPage
+			if rec.Kind == trace.Store {
+				e.preStore(rec, srcINV, onFaultPage, env, &res, &used, budget)
+			} else {
+				e.preLoad(rec, srcINV, onFaultPage, env, &res, &used, budget)
+			}
 		}
 	}
 
@@ -180,9 +176,14 @@ func (e *Engine) Run(window sim.Time, env Env) Result {
 	return res
 }
 
-// preStore implements Figure 3a.
-func (e *Engine) preStore(rec trace.Record, srcINV, inStorage bool, env Env, res *Result, used *sim.Time, budget sim.Time) {
-	inv := srcINV || inStorage
+// preStore implements Figure 3a. Step 0 depends on residency, so a store
+// reads its PTE unless it is on the faulting page, in storage by definition.
+func (e *Engine) preStore(rec *trace.Record, srcINV, onFaultPage bool, env *Env, res *Result, used *sim.Time, budget sim.Time) {
+	inStorage := onFaultPage
+	if !inStorage {
+		present, _ := env.Page(rec.Addr)
+		inStorage = !present
+	}
 	if inStorage {
 		// Step 0: data in storage — allocate a pre-execute cache line
 		// and mark the written bytes INV; also poison the PTE.
@@ -194,8 +195,8 @@ func (e *Engine) preStore(rec trace.Record, srcINV, inStorage bool, env Env, res
 	// Step 1: data in DRAM or cache — the store is valid unless its source
 	// register is poisoned; result goes to the store buffer with its INV
 	// status.
-	e.SB.Insert(rec.Addr, rec.Size, inv, e.retire)
-	if inv {
+	e.SB.Insert(rec.Addr, rec.Size, srcINV, e.retire)
+	if srcINV {
 		e.poison(rec.Addr, env)
 		return
 	}
@@ -208,11 +209,18 @@ func (e *Engine) preStore(rec trace.Record, srcINV, inStorage bool, env Env, res
 	}
 }
 
-// preLoad implements Figure 3b.
-func (e *Engine) preLoad(rec trace.Record, srcINV, inStorage bool, env Env, res *Result, used *sim.Time, budget sim.Time) {
-	if srcINV || inStorage {
+// preLoad implements Figure 3b. A load whose address register is INV takes
+// step 0 whatever its page holds; any other load reads its PTE once, for
+// residency and the INV bit (nothing before step 3 writes a PTE).
+func (e *Engine) preLoad(rec *trace.Record, srcINV, onFaultPage bool, env *Env, res *Result, used *sim.Time, budget sim.Time) {
+	if srcINV || onFaultPage {
 		// Step 0: address depends on bogus data, or data in storage.
 		e.RF.MarkINV(rec.Dst)
+		return
+	}
+	present, pteINV := env.Page(rec.Addr)
+	if !present {
+		e.RF.MarkINV(rec.Dst) // step 0: data in storage
 		return
 	}
 	// Steps 1–2: forwarded from the store buffer or pre-execute cache.
@@ -235,24 +243,15 @@ func (e *Engine) preLoad(rec trace.Record, srcINV, inStorage bool, env Env, res 
 		return
 	}
 	// Step 3: in the CPU's main cache — trust it unless the PTE says the
-	// page holds bogus data.
-	if env.LLCContains(rec.Addr) {
-		if env.PTEINV(rec.Addr) {
-			e.RF.MarkINV(rec.Dst)
-			return
-		}
-		e.RF.ClearINV(rec.Dst)
-		res.Valid++
-		return
-	}
-	// Step 4: only in memory — valid; move it into the cache (warming).
-	if env.PTEINV(rec.Addr) {
+	// page holds bogus data. Step 4: only in memory — the same test, then
+	// move the line into the cache (warming).
+	if pteINV {
 		e.RF.MarkINV(rec.Dst)
 		return
 	}
 	e.RF.ClearINV(rec.Dst)
 	res.Valid++
-	if *used+e.Costs.MemFill <= budget {
+	if !env.LLCContains(rec.Addr) && *used+e.Costs.MemFill <= budget {
 		env.LLCFill(rec.Addr)
 		*used += e.Costs.MemFill
 		res.Fills++
@@ -263,7 +262,7 @@ func (e *Engine) retire(addr uint64, size uint8, inv bool) {
 	e.PXC.Write(addr, size, inv)
 }
 
-func (e *Engine) poison(va uint64, env Env) {
+func (e *Engine) poison(va uint64, env *Env) {
 	if env.SetPTEINV != nil {
 		env.SetPTEINV(va)
 	}

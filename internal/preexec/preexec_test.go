@@ -26,23 +26,19 @@ type testEnv struct {
 	faultDst uint8
 }
 
-func (te *testEnv) env() Env {
+func (te *testEnv) env() *Env {
 	if te.pteINV == nil {
 		te.pteINV = map[uint64]bool{}
 	}
 	if te.llc == nil {
 		te.llc = map[uint64]bool{}
 	}
-	return Env{
-		Lookahead: func(i int) (trace.Record, bool) {
-			if i < len(te.recs) {
-				return te.recs[i], true
-			}
-			return trace.Record{}, false
+	return &Env{
+		Window: [2][]trace.Record{te.recs},
+		Page: func(va uint64) (bool, bool) {
+			return te.resident[va&^0xFFF], te.pteINV[va&^0xFFF]
 		},
-		PagePresent: func(va uint64) bool { return te.resident[va&^0xFFF] },
-		PTEINV:      func(va uint64) bool { return te.pteINV[va&^0xFFF] },
-		SetPTEINV:   func(va uint64) { te.pteINV[va&^0xFFF] = true },
+		SetPTEINV: func(va uint64) { te.pteINV[va&^0xFFF] = true },
 		ClearPTEINV: func(va uint64) {
 			delete(te.pteINV, va&^0xFFF)
 			te.cleared = append(te.cleared, va)

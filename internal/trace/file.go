@@ -183,31 +183,42 @@ func (tr *Reader) Len() int { return int(tr.count) }
 // FootprintBytes returns the footprint from the header.
 func (tr *Reader) FootprintBytes() uint64 { return tr.foot }
 
+// maxRecordBytes bounds one encoded record: the flags byte, the address
+// delta and the gap at up to binary.MaxVarintLen64 bytes each (a
+// non-minimal encoding is valid input), and the regs byte.
+const maxRecordBytes = 1 + 2*binary.MaxVarintLen64 + 1
+
 // Next decodes the next record. It returns false at a clean end of trace and
-// a non-nil error for truncated or corrupt input.
+// a non-nil error for truncated or corrupt input. The record is decoded in
+// place from the buffered reader's window and then consumed; near the end
+// of input the window is shorter, and a record that does not fit in it is
+// truncated.
 func (tr *Reader) Next(rec *Record) (bool, error) {
 	if tr.read >= tr.count {
 		return false, nil
 	}
-	flags, err := tr.r.ReadByte()
-	if err != nil {
+	buf, err := tr.r.Peek(maxRecordBytes)
+	if len(buf) == 0 {
 		return false, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
-	delta, err := binary.ReadVarint(tr.r)
-	if err != nil {
-		return false, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	delta, n := binary.Varint(buf[1:])
+	if n <= 0 {
+		return false, decodeErr("address delta", n, err)
 	}
-	gap, err := binary.ReadUvarint(tr.r)
-	if err != nil {
-		return false, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	i := 1 + n
+	gap, n := binary.Uvarint(buf[i:])
+	if n <= 0 {
+		return false, decodeErr("gap", n, err)
 	}
+	i += n
 	if gap > 0xFFFFFFFF {
 		return false, fmt.Errorf("%w: gap overflow %d", ErrBadFormat, gap)
 	}
-	regs, err := tr.r.ReadByte()
-	if err != nil {
-		return false, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	if i == len(buf) {
+		return false, decodeErr("regs", 0, err)
 	}
+	flags, regs := buf[0], buf[i]
+	tr.r.Discard(i + 1) // cannot fail: Peek buffered these bytes
 	tr.prevAddr += uint64(delta)
 	rec.Addr = tr.prevAddr
 	rec.Gap = uint32(gap)
@@ -221,6 +232,19 @@ func (tr *Reader) Next(rec *Record) (bool, error) {
 	rec.Src = regs & 0x0F
 	tr.read++
 	return true, nil
+}
+
+// decodeErr describes a field that failed to decode: n < 0 is a varint
+// overflow, otherwise the input ended inside the record (readErr says why
+// the window was short).
+func decodeErr(field string, n int, readErr error) error {
+	if n < 0 {
+		return fmt.Errorf("%w: %s varint overflow", ErrBadFormat, field)
+	}
+	if readErr == nil || readErr == io.EOF {
+		readErr = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("%w: %s: %v", ErrBadFormat, field, readErr)
 }
 
 // ReadAll decodes an entire ITRC stream into a SliceGenerator.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 
 	"itsim/internal/prng"
@@ -134,18 +135,33 @@ func Names() []string {
 	return []string{Caffe, Wrf, Blender, Xz, DeepSjeng, CommDetect, RandomWalk, Graph500, PageRank}
 }
 
+// MaxFootprintBytes bounds a scaled profile's footprint: 4 GiB, about 42
+// times the largest benchmark's full size. The simulated kernel maps every
+// page of a footprint and sizes DRAM from it, so a larger one would exhaust
+// the host's memory before the run could report anything.
+const MaxFootprintBytes = 4 << 30
+
+// ErrScale marks a scale no profile can be built at: not positive (NaN
+// included), or scaling a footprint past MaxFootprintBytes (+Inf included).
+var ErrScale = errors.New("workload: scale out of range")
+
 // ProfileFor returns the benchmark's profile scaled by scale (footprint and
-// record count; locality parameters are scale-invariant). Scale must be
-// positive; scale 1.0 is the benchmark's full size.
+// record count; locality parameters are scale-invariant). Scale 1.0 is the
+// benchmark's full size; a scale outside (0, MaxFootprintBytes/footprint]
+// returns an error wrapping ErrScale.
 func ProfileFor(name string, scale float64) (Profile, error) {
-	if scale <= 0 {
-		return Profile{}, fmt.Errorf("workload: non-positive scale %v", scale)
+	if !(scale > 0) {
+		return Profile{}, fmt.Errorf("%w: %v is not positive", ErrScale, scale)
 	}
 	p, ok := profiles[name]
 	if !ok {
 		return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
 	}
-	p.FootprintBytes = uint64(float64(p.FootprintBytes) * scale)
+	footprint := float64(p.FootprintBytes) * scale
+	if footprint > MaxFootprintBytes {
+		return Profile{}, fmt.Errorf("%w: %v scales %s to %.3g bytes, over %d", ErrScale, scale, name, footprint, MaxFootprintBytes)
+	}
+	p.FootprintBytes = uint64(footprint)
 	if p.FootprintBytes < 16*4096 {
 		p.FootprintBytes = 16 * 4096
 	}
@@ -164,6 +180,18 @@ func ProfileFor(name string, scale float64) (Profile, error) {
 		}
 	}
 	return p, nil
+}
+
+// CheckScale returns ProfileFor's error for the first benchmark that
+// cannot be built at scale: the check for a scale taken before the
+// benchmarks are chosen, such as a command's -scale flag.
+func CheckScale(scale float64) error {
+	for _, name := range Names() {
+		if _, err := ProfileFor(name, scale); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MustGenerator builds the named benchmark's generator at scale, panicking
