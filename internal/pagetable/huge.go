@@ -57,6 +57,7 @@ func (a *AddressSpace) MapHuge(va uint64, pte PTE) {
 		}
 	}
 	e := a.hugeEntry(base, true)
+	a.raiseTop(base)
 	old := *e
 	if old.Mapped() {
 		a.mapped -= EntriesPerTable

@@ -109,7 +109,9 @@ type node struct {
 
 // AddressSpace is one process's page-table tree plus occupancy counters
 // (the kernel's mm_struct analogue holds the pgd base pointer; here the
-// AddressSpace is handed around directly).
+// AddressSpace is handed around directly). It also keeps the end of the
+// highest region any leaf table or huge mapping covers, which bounds
+// VisitFrom: tables are never freed, so no table lies at or above it.
 type AddressSpace struct {
 	root    node
 	mapped  int
@@ -117,6 +119,11 @@ type AddressSpace struct {
 	// tablesAllocated counts leaf+directory tables, exposed for memory
 	// overhead accounting and tests.
 	tablesAllocated int
+	// top is one past the highest address that a leaf table or a huge
+	// mapping covers (0 while there is none). entry raises it when it
+	// allocates a leaf table and MapHuge when it maps a 2 MiB block;
+	// neither a table nor its reach is ever taken back.
+	top uint64
 	// pmd/pmdTag cache the PMD table of the last descent (tag = va >>
 	// pmdShift), mirroring a hardware paging-structure cache: Lookup
 	// runs once per simulated memory access and the page-table writes
@@ -241,8 +248,17 @@ func (a *AddressSpace) entry(va uint64) *PTE {
 		t = &node{ptes: make([]PTE, EntriesPerTable)}
 		n.kids[i] = t
 		a.tablesAllocated++
+		a.raiseTop(va)
 	}
 	return &t.ptes[indexAt(va, Levels-1)]
+}
+
+// raiseTop lifts top to the end of the 2 MiB block holding the canonical
+// va: the reach of one leaf table and of one huge mapping alike.
+func (a *AddressSpace) raiseTop(va uint64) {
+	if end := va&^uint64(HugePageSize-1) + HugePageSize; end > a.top {
+		a.top = end
+	}
 }
 
 // Set installs pte for va, maintaining the mapped/present counters. Setting
@@ -324,10 +340,6 @@ type WalkStep struct {
 	VA uint64
 	// PTE is the entry's current value (zero for holes).
 	PTE PTE
-	// NewTable is true when reaching this entry required stepping into a
-	// page table not touched since the walk began (costing one extra
-	// memory access in the prefetcher's timing model).
-	NewTable bool
 }
 
 // VisitFrom iterates pages starting at the page containing startVA,
@@ -337,9 +349,16 @@ type WalkStep struct {
 // how the paper's prefetcher "reverts to traversing the next PMD entry".
 // It returns the number of pages visited and the number of distinct tables
 // touched (for walk-cost accounting).
+//
+// The walk ends at the top of the address space's highest leaf table or
+// huge mapping rather than at the 2^48 end of the canonical range. Past
+// that point every descent finds only absent subtrees, which add to
+// neither count, so the results, the visits and the caller's walk cost
+// are those of a walk to 2^48; a start above every leaf table and huge
+// mapping returns (0, 1) without a visit.
 func (a *AddressSpace) VisitFrom(startVA uint64, maxPages int, visit func(WalkStep) bool) (visited, tablesTouched int) {
 	va := canonical(startVA) &^ uint64(PageSize-1)
-	end := uint64(1) << VABits
+	end := a.top
 	tablesTouched = 1 // the walk begins by reading the PGD
 	for visited < maxPages && va < end {
 		// Descend to the PT covering va, skipping absent subtrees.
@@ -378,9 +397,8 @@ func (a *AddressSpace) VisitFrom(startVA uint64, maxPages int, visit func(WalkSt
 		tablesTouched++
 		// Scan the leaf table from va's index onward.
 		for idx := indexAt(va, Levels-1); idx < EntriesPerTable && visited < maxPages; idx++ {
-			step := WalkStep{VA: va, PTE: n.ptes[idx], NewTable: idx == indexAt(va, Levels-1) && visited > 0}
 			visited++
-			if !visit(step) {
+			if !visit(WalkStep{VA: va, PTE: n.ptes[idx]}) {
 				return visited, tablesTouched
 			}
 			va += PageSize
