@@ -84,7 +84,7 @@ func banSources(pass *analysis.Pass, al *itslint.Allows, f *ast.File) {
 				}
 				break
 			}
-			fn := calleeFunc(pass, n)
+			fn := itslint.CalleeFunc(pass, n)
 			if why, banned := entropySource(fn); banned {
 				al.Report(n.Pos(),
 					"call to %s.%s in deterministic package %s: %s breaks bit-exact replay",
@@ -117,22 +117,6 @@ func entropySource(fn *types.Func) (why string, ok bool) {
 	}
 	why, ok = sources[fn.Pkg().Path()][fn.Name()]
 	return why, ok
-}
-
-// calleeFunc resolves the called function or method, or nil for indirect
-// calls, builtins and conversions.
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
-	default:
-		return nil
-	}
-	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
-	return fn
 }
 
 // isUnsafeConv reports whether converting arg to typ turns a pointer into

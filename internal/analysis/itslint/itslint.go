@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,6 +44,22 @@ func (*DeterministicFact) AFact() {}
 // `itsbench diff` and the per-core conservation ledger.
 func Deterministic(pass *analysis.Pass) bool {
 	return pass.ImportPackageFact(pass.Pkg, new(DeterministicFact))
+}
+
+// CalleeFunc resolves the function or method a call names, or nil for
+// indirect calls, builtins and conversions.
+func CalleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	case *ast.Ident:
+		id = fun
+	default:
+		return nil
+	}
+	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
+	return fn
 }
 
 // IsTestFile reports whether the node's file is a _test.go file. The

@@ -138,7 +138,7 @@ func analyzeFunc(pass *analysis.Pass, al *itslint.Allows, fd *ast.FuncDecl, repo
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(pass, call)
+		fn := itslint.CalleeFunc(pass, call)
 		if fn == nil {
 			return true
 		}
@@ -335,20 +335,6 @@ func exprString(fset *token.FileSet, e ast.Expr) string {
 		return ""
 	}
 	return buf.String()
-}
-
-func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
-	default:
-		return nil
-	}
-	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
-	return fn
 }
 
 func isMethod(fn *types.Func) bool {

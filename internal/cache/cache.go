@@ -290,37 +290,14 @@ func (c *Cache) Fill(addr uint64) (evicted uint64, wasValid bool) {
 		}
 		return c.installPacked(s, set, q, t)
 	}
-	lru := c.lruTick[base : base+c.ways]
-	victim := 0
-	var victimTick uint64 = ^uint64(0)
 	for w := range set {
 		if set[w] == t {
 			c.tick++
-			lru[w] = c.tick
+			c.lruTick[base+w] = c.tick
 			return 0, false
 		}
-		if set[w] == 0 {
-			// Prefer the first invalid way; mark it immediately
-			// preferred (no valid line's lruTick can be 0).
-			if victimTick != 0 {
-				victim, victimTick = w, 0
-			}
-			continue
-		}
-		if lru[w] < victimTick {
-			victim, victimTick = w, lru[w]
-		}
 	}
-	c.stats.Fills++
-	if set[victim] != 0 {
-		evicted, wasValid = set[victim]-1, true
-		c.stats.Evictions++
-	} else {
-		c.validCount[s]++
-	}
-	c.tick++
-	set[victim] = t
-	lru[victim] = c.tick
+	_, evicted, wasValid = c.installTick(s, base, t)
 	return evicted, wasValid
 }
 
@@ -366,37 +343,16 @@ func (c *Cache) AccessFill(addr uint64) (hit bool, evicted uint64, wasValid bool
 		evicted, wasValid = c.installPacked(s, set, q, t)
 		return false, evicted, wasValid
 	}
-	lru := c.lruTick[base : base+c.ways]
-	victim := 0
-	var victimTick uint64 = ^uint64(0)
 	for w := range set {
 		if set[w] == t {
 			c.tick++
-			lru[w] = c.tick
+			c.lruTick[base+w] = c.tick
 			c.stats.Hits++
 			return true, 0, false
 		}
-		if set[w] == 0 {
-			if victimTick != 0 {
-				victim, victimTick = w, 0
-			}
-			continue
-		}
-		if lru[w] < victimTick {
-			victim, victimTick = w, lru[w]
-		}
 	}
 	c.stats.Misses++
-	c.stats.Fills++
-	if set[victim] != 0 {
-		evicted, wasValid = set[victim]-1, true
-		c.stats.Evictions++
-	} else {
-		c.validCount[s]++
-	}
-	c.tick++
-	set[victim] = t
-	lru[victim] = c.tick
+	_, evicted, wasValid = c.installTick(s, base, t)
 	return false, evicted, wasValid
 }
 
@@ -431,8 +387,9 @@ func (c *Cache) InstallSlot(addr uint64) int {
 	return base + w
 }
 
-// installTick is FillCold's tick-representation path: it installs tag t
-// into set s (slots base…base+ways-1) and returns the way it chose.
+// installTick fills tag t into set s (slots base…base+ways-1, tick
+// representation) and returns the way it chose: the first invalid way when
+// one exists, the least recently stamped way otherwise.
 func (c *Cache) installTick(s, base int, t uint64) (way int, evicted uint64, wasValid bool) {
 	set := c.tags[base : base+c.ways]
 	c.stats.Fills++

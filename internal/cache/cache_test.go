@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -302,5 +303,142 @@ func TestResetMatchesNewProperty(t *testing.T) {
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 			t.Errorf("%+v: %v", cfg, err)
 		}
+	}
+}
+
+// lruModel is the reference replacement policy: per set, the valid lines
+// in recency order, most recent first, with the Stats a cache would count.
+type lruModel struct {
+	sets  [][]uint64
+	ways  int
+	stats Stats
+}
+
+func (m *lruModel) set(line uint64) *[]uint64 { return &m.sets[line%uint64(len(m.sets))] }
+
+// touch makes line the most recent of its set, reporting whether it was
+// present.
+func (m *lruModel) touch(line uint64) bool {
+	s := m.set(line)
+	for i, l := range *s {
+		if l == line {
+			copy((*s)[1:i+1], (*s)[:i])
+			(*s)[0] = line
+			return true
+		}
+	}
+	return false
+}
+
+// access is Access: a counted lookup that refreshes recency on a hit.
+func (m *lruModel) access(line uint64) bool {
+	m.stats.Accesses++
+	if m.touch(line) {
+		m.stats.Hits++
+		return true
+	}
+	m.stats.Misses++
+	return false
+}
+
+// install adds an absent line as the most recent of its set, evicting the
+// least recent when the set is full.
+func (m *lruModel) install(line uint64) (evicted uint64, wasValid bool) {
+	s := m.set(line)
+	m.stats.Fills++
+	if len(*s) == m.ways {
+		evicted, wasValid = (*s)[m.ways-1], true
+		*s = (*s)[:m.ways-1]
+		m.stats.Evictions++
+	}
+	*s = append([]uint64{line}, *s...)
+	return evicted, wasValid
+}
+
+func (m *lruModel) remove(line uint64) bool {
+	s := m.set(line)
+	for i, l := range *s {
+		if l == line {
+			*s = append((*s)[:i], (*s)[i+1:]...)
+			return true
+		}
+	}
+	return false
+}
+
+func (m *lruModel) validLines() int {
+	n := 0
+	for _, s := range m.sets {
+		n += len(s)
+	}
+	return n
+}
+
+// TestCacheMatchesLRUModel drives both recency representations — packed
+// order (4, 8, 16 ways) and tick stamps (32, 64 ways) — with random
+// Access/Fill/AccessFill/FillCold/Invalidate/LookupSlot/InstallSlot
+// sequences and checks each operation against a per-set true-LRU list:
+// its hit, evicted tag and wasValid, then Stats and ValidLines. Slot
+// numbers are left out: which way holds a line depends on the
+// representation.
+func TestCacheMatchesLRUModel(t *testing.T) {
+	type result struct {
+		hit      bool
+		evicted  uint64
+		wasValid bool
+	}
+	for _, ways := range []int{4, 8, 16, 32, 64} {
+		t.Run(fmt.Sprintf("ways=%d", ways), func(t *testing.T) {
+			const sets, lineBytes = 4, 64
+			c := New(Config{SizeBytes: sets * ways * lineBytes, LineBytes: lineBytes, Ways: ways})
+			m := &lruModel{sets: make([][]uint64, sets), ways: ways}
+			r := prng.New(uint64(ways))
+			for i := 0; i < 20000; i++ {
+				// Twice the capacity in lines: sets overflow and evict,
+				// and about half the lookups hit.
+				line := r.Uint64n(2 * sets * uint64(ways))
+				addr := line*lineBytes + r.Uint64n(lineBytes)
+				var got, want result
+				op := r.Intn(7)
+				if (op == 3 || op == 6) && c.Contains(addr) {
+					continue // FillCold and InstallSlot require an absent line
+				}
+				switch op {
+				case 0:
+					got.hit, want.hit = c.Access(addr), m.access(line)
+				case 1:
+					got.evicted, got.wasValid = c.Fill(addr)
+					if !m.touch(line) {
+						want.evicted, want.wasValid = m.install(line)
+					}
+				case 2:
+					got.hit, got.evicted, got.wasValid = c.AccessFill(addr)
+					if want.hit = m.access(line); !want.hit {
+						want.evicted, want.wasValid = m.install(line)
+					}
+				case 3:
+					got.evicted, got.wasValid = c.FillCold(addr)
+					want.evicted, want.wasValid = m.install(line)
+				case 4:
+					got.hit, want.hit = c.Invalidate(addr), m.remove(line)
+				case 5:
+					got.hit = c.LookupSlot(addr) >= 0
+					if want.hit = m.touch(line); want.hit {
+						m.stats.Accesses++
+						m.stats.Hits++
+					}
+				case 6:
+					c.InstallSlot(addr)
+					m.install(line)
+				}
+				if got != want {
+					t.Fatalf("op %d (kind %d) on line %d: got %+v, model %+v", i, op, line, got, want)
+				}
+				if c.Stats() != m.stats || c.ValidLines() != m.validLines() {
+					t.Fatalf("op %d (kind %d) on line %d: stats %+v, %d valid lines; model %+v, %d",
+						i, op, line, c.Stats(), c.ValidLines(), m.stats, m.validLines())
+				}
+			}
+		})
 	}
 }

@@ -146,6 +146,46 @@ func CheckDur(name string, d sim.Time) error {
 	return nil
 }
 
+// SpecScanner walks the list grammar the -chaos, -faults and -tenants
+// specs share: entries separated by one separator, the spaces around each
+// entry trimmed, empty entries skipped. It cuts entries off the list in
+// place, so scanning allocates nothing.
+type SpecScanner struct {
+	rest, sep, entry string
+}
+
+// ScanSpec returns a scanner over list's sep-separated entries.
+func ScanSpec(list, sep string) SpecScanner { return SpecScanner{rest: list, sep: sep} }
+
+// Scan advances to the next non-empty entry; it reports false at the end
+// of the list.
+func (s *SpecScanner) Scan() bool {
+	for s.rest != "" {
+		s.entry, s.rest, _ = strings.Cut(s.rest, s.sep)
+		if s.entry = strings.TrimSpace(s.entry); s.entry != "" {
+			return true
+		}
+	}
+	return false
+}
+
+// Entry returns the current entry, trimmed.
+func (s *SpecScanner) Entry() string { return s.entry }
+
+// KeyValue splits the current entry at its first '=' into a lower-cased
+// key and a value, both trimmed; ok is false when the entry has no '='.
+func (s *SpecScanner) KeyValue() (key, val string, ok bool) {
+	key, val, ok = strings.Cut(s.entry, "=")
+	return strings.ToLower(strings.TrimSpace(key)), strings.TrimSpace(val), ok
+}
+
+// ParseDuration converts a Go duration literal ("250us", "2ms") to virtual
+// time: the duration syntax of every spec grammar.
+func ParseDuration(val string) (sim.Time, error) {
+	d, err := time.ParseDuration(val)
+	return sim.Time(d.Nanoseconds()), err
+}
+
 // Validate rejects configs that are nonsensical rather than merely
 // incomplete (New applies defaults for the latter). It is the user-input
 // gate for the CLIs.
@@ -301,21 +341,11 @@ func (s *Stream) Advance() {
 // Config. The result is validated.
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return cfg, nil
-	}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
+	for sc := ScanSpec(spec, ","); sc.Scan(); {
+		key, val, ok := sc.KeyValue()
+		if !ok {
+			return Config{}, fmt.Errorf("chaos: malformed spec entry %q (want key=value)", sc.Entry())
 		}
-		key, val, found := strings.Cut(field, "=")
-		if !found {
-			return Config{}, fmt.Errorf("chaos: malformed spec entry %q (want key=value)", field)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
 		var err error
 		switch key {
 		case "seed":
@@ -323,21 +353,21 @@ func ParseSpec(spec string) (Config, error) {
 		case "crashr":
 			cfg.CrashRate, err = strconv.ParseFloat(val, 64)
 		case "crashd":
-			cfg.CrashDown, err = parseDuration(val)
+			cfg.CrashDown, err = ParseDuration(val)
 		case "warm":
-			cfg.Warm, err = parseDuration(val)
+			cfg.Warm, err = ParseDuration(val)
 		case "warmx":
 			cfg.WarmMult, err = strconv.ParseFloat(val, 64)
 		case "brownr":
 			cfg.BrownRate, err = strconv.ParseFloat(val, 64)
 		case "brownd":
-			cfg.BrownDur, err = parseDuration(val)
+			cfg.BrownDur, err = ParseDuration(val)
 		case "brownx":
 			cfg.BrownMult, err = strconv.ParseFloat(val, 64)
 		case "flapr":
 			cfg.FlapRate, err = strconv.ParseFloat(val, 64)
 		case "flapd":
-			cfg.FlapDown, err = parseDuration(val)
+			cfg.FlapDown, err = ParseDuration(val)
 		default:
 			return Config{}, fmt.Errorf("chaos: unknown spec key %q (known: %s)", key, strings.Join(specKeys(), ", "))
 		}
@@ -355,12 +385,4 @@ func specKeys() []string {
 	keys := []string{"seed", "crashr", "crashd", "warm", "warmx", "brownr", "brownd", "brownx", "flapr", "flapd"}
 	sort.Strings(keys)
 	return keys
-}
-
-func parseDuration(val string) (sim.Time, error) {
-	d, err := time.ParseDuration(val)
-	if err != nil {
-		return 0, err
-	}
-	return sim.Time(d.Nanoseconds()), nil
 }

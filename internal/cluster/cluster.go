@@ -85,12 +85,9 @@ type Config struct {
 	// Seed perturbs every tenant's trace and arrival seeds at once;
 	// 0 keeps the pinned per-benchmark seeds.
 	Seed uint64
-	// Cores selects each machine's core count (0 = Machine config or the
-	// single-core default).
+	// Cores selects each machine's core count (0 = the single-core
+	// default).
 	Cores int
-	// Machine overrides the per-machine platform configuration; nil
-	// derives one from the tenant mix like core.Options does per batch.
-	Machine *machine.Config
 	// Fault configures device fault injection on every machine; machine
 	// i runs with the seed mixed by i so the fleet sees decorrelated
 	// fault schedules.
@@ -184,12 +181,8 @@ func (c *Config) maxScale() float64 {
 // derivation core.Options applies per batch.
 func (c *Config) machineConfig(dataIntensive, machineID int) machine.Config {
 	cfg := machine.DefaultConfig()
-	if c.Machine != nil {
-		cfg = *c.Machine
-	} else {
-		cfg.MinSlice, cfg.MaxSlice = exec.SliceRange(c.maxScale())
-		cfg.DRAMRatio = exec.DRAMRatioFor(dataIntensive)
-	}
+	cfg.MinSlice, cfg.MaxSlice = exec.SliceRange(c.maxScale())
+	cfg.DRAMRatio = exec.DRAMRatioFor(dataIntensive)
 	if c.Cores != 0 {
 		cfg.Cores = c.Cores
 	}

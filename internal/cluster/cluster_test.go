@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"itsim/internal/chaos"
 	"itsim/internal/fault"
 	"itsim/internal/machine"
 	"itsim/internal/metrics"
@@ -412,6 +413,40 @@ func TestParseTenantSpec(t *testing.T) {
 	for label, spec := range bad {
 		if _, err := ParseTenantSpec(spec); err == nil {
 			t.Errorf("%s: spec %q accepted", label, spec)
+		}
+	}
+}
+
+// TestSpecParseAllocs is the spec parsers' allocation gate, on the specs
+// of the fleet-chaos benchmark workload: a fleet's set-up time includes
+// these parses. The shared scanner cuts entries off the spec in place, so
+// chaos.ParseSpec and fault.ParseSpec allocate nothing, and
+// ParseTenantSpec allocates only the default names, the result slice and
+// the duplicate-name set.
+func TestSpecParseAllocs(t *testing.T) {
+	const (
+		tenants = "name=web,bench=pagerank,rate=5e3,req=1200,prio=3,slo=20ms,deadline=6ms,retries=2,hedge=true;" +
+			"name=train,bench=caffe,rate=3e3,req=720,prio=2,pattern=diurnal,slo=60ms,deadline=20ms,retries=1;" +
+			"name=batch,bench=randomwalk,rate=2e3,req=480,prio=1,pattern=bursty"
+		chaosSpec = "seed=5,crashr=20,crashd=250us,warm=6ms,warmx=8,brownr=20,brownx=4,flapr=5"
+		faultSpec = "seed=42,tailp=0.01,tailx=8,stallp=0.001,dmap=0.005"
+	)
+	for _, tc := range []struct {
+		name  string
+		max   float64
+		parse func() error
+	}{
+		{"tenant", 6, func() error { _, err := ParseTenantSpec(tenants); return err }},
+		{"chaos", 0, func() error { _, err := chaos.ParseSpec(chaosSpec); return err }},
+		{"fault", 0, func() error { _, err := fault.ParseSpec(faultSpec); return err }},
+	} {
+		if err := tc.parse(); err != nil {
+			t.Fatalf("%s spec: %v", tc.name, err)
+		}
+		got := testing.AllocsPerRun(100, func() { _ = tc.parse() })
+		t.Logf("%s spec: %v allocations per parse", tc.name, got)
+		if got > tc.max {
+			t.Errorf("%s spec: %v allocations per parse, want <= %v", tc.name, got, tc.max)
 		}
 	}
 }

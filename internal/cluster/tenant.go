@@ -5,8 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 
+	"itsim/internal/chaos"
 	"itsim/internal/sim"
 	"itsim/internal/workload"
 )
@@ -140,21 +140,13 @@ func (t TenantSpec) scale(global float64) float64 {
 // slo 0, seed 0, deadline 0 (no timeout), retries 0, hedge false.
 // Every parsed tenant is validated and names must be unique.
 func ParseTenantSpec(spec string) ([]TenantSpec, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, fmt.Errorf("cluster: empty tenant spec")
-	}
 	var out []TenantSpec
-	for _, ts := range strings.Split(spec, ";") {
-		ts = strings.TrimSpace(ts)
-		if ts == "" {
-			continue
-		}
+	for tenants := chaos.ScanSpec(spec, ";"); tenants.Scan(); {
 		if len(out) >= MaxTenants {
 			return nil, fmt.Errorf("cluster: more than %d tenants", MaxTenants)
 		}
 		t := TenantSpec{
-			Name:     fmt.Sprintf("t%d", len(out)),
+			Name:     "t" + strconv.Itoa(len(out)),
 			Bench:    workload.Caffe,
 			Requests: 8,
 			Priority: 1,
@@ -163,17 +155,11 @@ func ParseTenantSpec(spec string) ([]TenantSpec, error) {
 			Period:   2 * sim.Millisecond,
 			Amp:      0.5,
 		}
-		for _, field := range strings.Split(ts, ",") {
-			field = strings.TrimSpace(field)
-			if field == "" {
-				continue
+		for fields := chaos.ScanSpec(tenants.Entry(), ","); fields.Scan(); {
+			key, val, ok := fields.KeyValue()
+			if !ok {
+				return nil, fmt.Errorf("cluster: malformed tenant entry %q (want key=value)", fields.Entry())
 			}
-			key, val, found := strings.Cut(field, "=")
-			if !found {
-				return nil, fmt.Errorf("cluster: malformed tenant entry %q (want key=value)", field)
-			}
-			key = strings.ToLower(strings.TrimSpace(key))
-			val = strings.TrimSpace(val)
 			var err error
 			switch key {
 			case "name":
@@ -191,15 +177,15 @@ func ParseTenantSpec(spec string) ([]TenantSpec, error) {
 			case "pattern":
 				t.Pattern, err = workload.ParsePattern(val)
 			case "period":
-				t.Period, err = parseDuration(val)
+				t.Period, err = chaos.ParseDuration(val)
 			case "amp":
 				t.Amp, err = strconv.ParseFloat(val, 64)
 			case "slo":
-				t.SLO, err = parseDuration(val)
+				t.SLO, err = chaos.ParseDuration(val)
 			case "seed":
 				t.Seed, err = strconv.ParseUint(val, 0, 64)
 			case "deadline":
-				t.Deadline, err = parseDuration(val)
+				t.Deadline, err = chaos.ParseDuration(val)
 			case "retries":
 				t.Retries, err = strconv.Atoi(val)
 			case "hedge":
@@ -227,15 +213,6 @@ func ParseTenantSpec(spec string) ([]TenantSpec, error) {
 		seen[t.Name] = true
 	}
 	return out, nil
-}
-
-// parseDuration converts a Go duration literal to virtual time.
-func parseDuration(s string) (sim.Time, error) {
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, err
-	}
-	return sim.Time(d.Nanoseconds()), nil
 }
 
 // Seed-mixing tweaks. Per-request trace seeds and per-tenant arrival

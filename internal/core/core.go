@@ -129,13 +129,14 @@ func runMachine(cfg machine.Config, newPolicy func() policy.Policy, name string,
 	return m.Run()
 }
 
-// runInstance runs specs under one policy instance. A stateful instance
-// cannot be shared across cores, so multi-core configurations are rejected.
-func runInstance(cfg machine.Config, pol policy.Policy, name string, specs []machine.ProcessSpec, opts Options) (*metrics.Run, error) {
-	if cfg.Cores > 1 {
-		return nil, fmt.Errorf("single policy instance cannot run on %d cores; use RunBatchWithPolicyFactory", cfg.Cores)
+// policyName names the policy newPolicy builds, for error messages.
+func policyName(newPolicy func() policy.Policy) string {
+	if newPolicy != nil {
+		if p := newPolicy(); p != nil {
+			return p.Name()
+		}
 	}
-	return runMachine(cfg, func() policy.Policy { return pol }, name, specs, opts)
+	return "?"
 }
 
 // RunBatch executes one batch under one policy kind. The ITS kind honours
@@ -154,13 +155,7 @@ func RunBatchWithPolicyFactory(b workload.Batch, newPolicy func() policy.Policy,
 		run, err = runMachine(opts.machineConfig(b), newPolicy, b.Name, specs, opts)
 	}
 	if err != nil {
-		name := "?"
-		if newPolicy != nil {
-			if p := newPolicy(); p != nil {
-				name = p.Name()
-			}
-		}
-		return run, fmt.Errorf("core: batch %s under %s: %w", b.Name, name, err)
+		return run, fmt.Errorf("core: batch %s under %s: %w", b.Name, policyName(newPolicy), err)
 	}
 	return run, nil
 }
@@ -170,27 +165,22 @@ func RunBatchWithPolicyFactory(b workload.Batch, newPolicy func() policy.Policy,
 // stateful instance cannot be shared across cores, multi-core options
 // return an error — use RunBatchWithPolicyFactory there.
 func RunBatchWithPolicy(b workload.Batch, pol policy.Policy, opts Options) (*metrics.Run, error) {
-	specs, err := specsFor(b, opts.scale())
-	var run *metrics.Run
-	if err == nil {
-		run, err = runInstance(opts.machineConfig(b), pol, b.Name, specs, opts)
+	if cores := opts.machineConfig(b).Cores; cores > 1 {
+		return nil, fmt.Errorf("core: batch %s under %s: one policy instance cannot run on %d cores; each core needs its own",
+			b.Name, pol.Name(), cores)
 	}
-	if err != nil {
-		return run, fmt.Errorf("core: batch %s under %s: %w", b.Name, pol.Name(), err)
-	}
-	return run, nil
+	return RunBatchWithPolicyFactory(b, func() policy.Policy { return pol }, opts)
 }
 
 // RunSpecs executes an ad-hoc set of process specs (custom traces, custom
-// priorities) under the given policy. The batch-dependent defaults use
-// dataIntensive as the contention hint (see exec.DRAMRatioFor). Like
-// RunBatchWithPolicy, it takes one policy instance and therefore rejects
-// multi-core options.
-func RunSpecs(name string, specs []machine.ProcessSpec, pol policy.Policy, dataIntensive int, opts Options) (*metrics.Run, error) {
+// priorities) under the policy newPolicy builds, one fresh instance per
+// core, as RunBatchWithPolicyFactory does. The batch-dependent defaults use
+// dataIntensive as the contention hint (see exec.DRAMRatioFor).
+func RunSpecs(name string, specs []machine.ProcessSpec, newPolicy func() policy.Policy, dataIntensive int, opts Options) (*metrics.Run, error) {
 	cfg := opts.machineConfig(workload.Batch{DataIntensive: dataIntensive})
-	run, err := runInstance(cfg, pol, name, specs, opts)
+	run, err := runMachine(cfg, newPolicy, name, specs, opts)
 	if err != nil {
-		return run, fmt.Errorf("core: custom run %s under %s: %w", name, pol.Name(), err)
+		return run, fmt.Errorf("core: custom run %s under %s: %w", name, policyName(newPolicy), err)
 	}
 	return run, nil
 }

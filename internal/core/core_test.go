@@ -316,13 +316,8 @@ func TestInvalidConfigErrors(t *testing.T) {
 				opts.Machine.Cores = cores
 				var err error
 				switch {
-				case tc.mut == nil && cores > 1:
-					// RunSpecs takes one policy instance and rejects
-					// multi-core runs up front; an empty batch reaches
-					// the machine with no processes instead.
-					_, err = RunBatch(workload.Batch{Name: "empty"}, policy.Sync, opts)
 				case tc.mut == nil:
-					_, err = RunSpecs("empty", nil, policy.New(policy.Sync), 0, opts)
+					_, err = RunSpecs("empty", nil, policy.Factory(policy.Sync, policy.ITSConfig{}), 0, opts)
 				default:
 					tc.mut(opts.Machine)
 					_, err = RunBatch(b, policy.Sync, opts)

@@ -19,7 +19,6 @@ import (
 	"itsim/internal/cache"
 	"itsim/internal/cpu"
 	"itsim/internal/fault"
-	"itsim/internal/mem"
 	"itsim/internal/sched"
 	"itsim/internal/sim"
 	"itsim/internal/storage"
@@ -28,10 +27,13 @@ import (
 
 // Timing defaults of the simulated core.
 const (
-	// DefaultL1Hit is the L1 hit latency.
-	DefaultL1Hit = 1 * sim.Nanosecond
-	// DefaultLLCHit is the LLC hit latency.
-	DefaultLLCHit = 12 * sim.Nanosecond
+	// L1Hit is the L1 hit latency.
+	L1Hit = 1 * sim.Nanosecond
+	// LLCHit is the LLC hit latency.
+	LLCHit = 12 * sim.Nanosecond
+	// TLBMissCost is the page-walk cost of a TLB miss (a mostly-cached
+	// 4-level walk), charged when Config.TLBEntries enables the TLB.
+	TLBMissCost = 25 * sim.Nanosecond
 	// InstPerNs is instructions retired per nanosecond of pure compute
 	// (2 ⇒ 0.5 ns per instruction, a 2 GHz core at IPC 1): the rate that
 	// converts a record's instruction gap to time.
@@ -65,15 +67,10 @@ type Config struct {
 	// L1Size/L1Ways shape the first-level cache.
 	L1Size int
 	L1Ways int
-	// L1Hit/LLCHit are hit latencies.
-	L1Hit  sim.Time
-	LLCHit sim.Time
 	// DRAMRatio sizes DRAM relative to the batch's aggregate footprint
 	// (the paper tailors DRAM to the working set; contention comes from
 	// the sum exceeding capacity).
 	DRAMRatio float64
-	// Replacement selects the page-replacement policy.
-	Replacement mem.ReplacementKind
 	// Device parameterizes the ULL SSD.
 	Device storage.Config
 	// BusLanes/LaneBandwidth parameterize the PCIe link.
@@ -106,9 +103,6 @@ type Config struct {
 	// TLB miss pays TLBMissCost — a mechanistic replacement for the
 	// fixed SwitchPollutionCost, which is then not charged.
 	TLBEntries int
-	// TLBMissCost is the page-walk cost of a TLB miss (default 25 ns: a
-	// mostly-cached 4-level walk).
-	TLBMissCost sim.Time
 	// SwapClusterPages selects the swap-in granularity in pages (0 or 1
 	// = base 4 KiB pages). Larger values model huge-page-style swapping
 	// (paper §1: "larger I/O sizes like huge page management"): a major
@@ -142,10 +136,7 @@ func DefaultConfig() Config {
 		LineBytes:     64,
 		L1Size:        32 << 10,
 		L1Ways:        8,
-		L1Hit:         DefaultL1Hit,
-		LLCHit:        DefaultLLCHit,
 		DRAMRatio:     0.75,
-		Replacement:   mem.ReplaceClock,
 		Device:        storage.DefaultConfig(),
 		BusLanes:      bus.DefaultLanes,
 		LaneBandwidth: bus.DefaultLaneBandwidth,

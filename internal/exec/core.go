@@ -296,12 +296,12 @@ func (c *Core) cacheAccess(p *Proc, addr uint64) {
 	if c.TLB != nil {
 		if hit, _, _ := c.TLB.AccessFill(key >> pagetable.PageShift); !hit {
 			// TLB miss: the hardware walker re-reads the page tables.
-			c.advance(p, s.Cfg.TLBMissCost)
-			p.Met.MemStall += s.Cfg.TLBMissCost
+			c.advance(p, TLBMissCost)
+			p.Met.MemStall += TLBMissCost
 		}
 	}
 	if c.L1.Access(key) {
-		c.advance(p, s.Cfg.L1Hit)
+		c.advance(p, L1Hit)
 		return
 	}
 	p.Met.LLCAccesses++
@@ -313,11 +313,11 @@ func (c *Core) cacheAccess(p *Proc, addr uint64) {
 	// can intervene, so the match scan is provably dead.
 	hit, victim, wasValid := s.LLC.AccessFill(key)
 	if hit {
-		c.advance(p, s.Cfg.L1Hit+s.Cfg.LLCHit)
+		c.advance(p, L1Hit+LLCHit)
 		// The LLC-hit service time is still the CPU waiting on the
 		// memory hierarchy (paper: idle accrues "during the cache
 		// misses"), here an L1 miss served by the LLC.
-		p.Met.MemStall += s.Cfg.LLCHit
+		p.Met.MemStall += LLCHit
 		c.L1.FillCold(key)
 		return
 	}
@@ -330,9 +330,9 @@ func (c *Core) cacheAccess(p *Proc, addr uint64) {
 		}
 	}
 	p.Met.LLCMisses++
-	stall := s.Cfg.L1Hit + s.Cfg.LLCHit + mem.AccessLatency
+	stall := L1Hit + LLCHit + mem.AccessLatency
 	c.advance(p, stall)
-	p.Met.MemStall += s.Cfg.LLCHit + mem.AccessLatency
+	p.Met.MemStall += LLCHit + mem.AccessLatency
 	c.L1.FillCold(key)
 }
 
@@ -482,21 +482,7 @@ func (c *Core) majorFault(p *Proc, rec trace.Record) (blocked bool) {
 		for _, pv := range d.Prefetch {
 			c.tryPrefetch(p, pv)
 		}
-		c.Sch.Block(p.PID)
-		p.blockedAt = c.Eng.Now()
-		p.wasBlocked = true
-		if s.Want[obs.EvBlock] {
-			c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvBlock, PID: p.PID,
-				VA: rec.Addr, Dur: c.Eng.Now() - c.DispatchedAt})
-		}
-		c.scheduleFaultEnd(p, rec.Addr, faultStart, done, "async")
-		// Wake up when the page lands (after the completion event at
-		// the same timestamp, thanks to FIFO event ordering).
-		p.scheduleWake(c, done)
-		// Switching away is the asynchronous mode's price: 7 µs of pure
-		// state movement — longer than the ULL I/O itself.
-		c.chargeSwitch(p)
-		return true
+		return c.block(p, rec.Addr, faultStart, done, "async")
 	}
 
 	// Hybrid polling (Spin_Block): if the I/O will outlive the spin
@@ -521,17 +507,7 @@ func (c *Core) majorFault(p *Proc, rec trace.Record) (blocked bool) {
 		}
 		p.Met.StorageWait += spin
 		c.advance(p, spin)
-		c.Sch.Block(p.PID)
-		p.blockedAt = c.Eng.Now()
-		p.wasBlocked = true
-		if s.Want[obs.EvBlock] {
-			c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvBlock, PID: p.PID,
-				VA: rec.Addr, Dur: c.Eng.Now() - c.DispatchedAt})
-		}
-		c.scheduleFaultEnd(p, rec.Addr, faultStart, done, spinCause)
-		p.scheduleWake(c, done)
-		c.chargeSwitch(p)
-		return true
+		return c.block(p, rec.Addr, faultStart, done, spinCause)
 	}
 
 	// Synchronous busy-wait. The whole window is storage-induced stall
@@ -577,6 +553,28 @@ func (c *Core) majorFault(p *Proc, rec trace.Record) (blocked bool) {
 			VA: rec.Addr, Dur: c.Eng.Now() - faultStart, Cause: "sync"})
 	}
 	return false
+}
+
+// block ends a fault that waits off the core (the asynchronous mode, or
+// the rest of a spin-then-block wait): the process blocks until its page
+// lands at done, and the core pays the context switch. It reports true,
+// majorFault's "blocked" result.
+func (c *Core) block(p *Proc, va uint64, faultStart, done sim.Time, mode string) bool {
+	c.Sch.Block(p.PID)
+	p.blockedAt = c.Eng.Now()
+	p.wasBlocked = true
+	if c.S.Want[obs.EvBlock] {
+		c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvBlock, PID: p.PID,
+			VA: va, Dur: c.Eng.Now() - c.DispatchedAt})
+	}
+	c.scheduleFaultEnd(p, va, faultStart, done, mode)
+	// Wake up when the page lands (after the completion event at the same
+	// timestamp, thanks to FIFO event ordering).
+	p.scheduleWake(c, done)
+	// Switching away is the asynchronous mode's price: 7 µs of pure state
+	// movement — longer than the ULL I/O itself.
+	c.chargeSwitch(p)
+	return true
 }
 
 // scheduleFaultEnd arranges the EvMajorFaultEnd of an asynchronous or

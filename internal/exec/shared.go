@@ -100,9 +100,6 @@ func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string,
 	if cfg.DRAMRatio <= 0 {
 		cfg.DRAMRatio = 0.75
 	}
-	if cfg.TLBEntries > 0 && cfg.TLBMissCost <= 0 {
-		cfg.TLBMissCost = 25 * sim.Nanosecond
-	}
 	n := len(pols)
 
 	// Partition the LLC by ways (as real cache partitioning does — the
@@ -146,7 +143,7 @@ func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string,
 	}
 	s := &Shared{
 		Cfg:      cfg,
-		Krn:      kernel.New(mem.NewDRAM(frames, cfg.Replacement), dev),
+		Krn:      kernel.New(mem.NewDRAM(frames, mem.ReplaceClock), dev),
 		LLC:      reuseCache(oldLLC, cache.Config{SizeBytes: llcSize, LineBytes: cfg.LineBytes, Ways: llcWays}),
 		Run:      metrics.NewRun(pols[0].Name(), batchName),
 		Inflight: make(map[InflightKey]sim.Time),

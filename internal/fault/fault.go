@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"itsim/internal/chaos"
 	"itsim/internal/prng"
@@ -201,21 +200,11 @@ func (in *Injector) DMAFail(attempt int) bool {
 // Config. The result is validated.
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return cfg, nil
-	}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
+	for sc := chaos.ScanSpec(spec, ","); sc.Scan(); {
+		key, val, ok := sc.KeyValue()
+		if !ok {
+			return Config{}, fmt.Errorf("fault: malformed spec entry %q (want key=value)", sc.Entry())
 		}
-		key, val, found := strings.Cut(field, "=")
-		if !found {
-			return Config{}, fmt.Errorf("fault: malformed spec entry %q (want key=value)", field)
-		}
-		key = strings.ToLower(strings.TrimSpace(key))
-		val = strings.TrimSpace(val)
 		var err error
 		switch key {
 		case "seed":
@@ -227,13 +216,13 @@ func ParseSpec(spec string) (Config, error) {
 		case "stallp":
 			cfg.StallProb, err = strconv.ParseFloat(val, 64)
 		case "stallw":
-			cfg.StallWindow, err = parseDuration(val)
+			cfg.StallWindow, err = chaos.ParseDuration(val)
 		case "dmap":
 			cfg.DMAFailProb, err = strconv.ParseFloat(val, 64)
 		case "retries":
 			cfg.RetryMax, err = strconv.Atoi(val)
 		case "backoff":
-			cfg.RetryBackoff, err = parseDuration(val)
+			cfg.RetryBackoff, err = chaos.ParseDuration(val)
 		default:
 			return Config{}, fmt.Errorf("fault: unknown spec key %q (known: %s)", key, strings.Join(specKeys(), ", "))
 		}
@@ -251,12 +240,4 @@ func specKeys() []string {
 	keys := []string{"seed", "tailp", "tailx", "stallp", "stallw", "dmap", "retries", "backoff"}
 	sort.Strings(keys)
 	return keys
-}
-
-func parseDuration(val string) (sim.Time, error) {
-	d, err := time.ParseDuration(val)
-	if err != nil {
-		return 0, err
-	}
-	return sim.Time(d.Nanoseconds()), nil
 }

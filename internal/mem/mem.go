@@ -118,9 +118,6 @@ func (d *DRAM) Frame(id FrameID) *Frame {
 	return &d.frames[id]
 }
 
-// HasFree reports whether an allocation would succeed without eviction.
-func (d *DRAM) HasFree() bool { return len(d.free) > 0 }
-
 // Allocate takes a free frame for (owner, va). It returns NoFrame and false
 // when the pool is exhausted; the caller must then evict via PickVictim +
 // Release first. Newly allocated frames start Referenced (just-faulted pages

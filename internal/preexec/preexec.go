@@ -223,35 +223,25 @@ func (e *Engine) preLoad(rec *trace.Record, srcINV, onFaultPage bool, env *Env, 
 		e.RF.MarkINV(rec.Dst) // step 0: data in storage
 		return
 	}
-	// Steps 1–2: forwarded from the store buffer or pre-execute cache.
-	if found, inv := e.SB.Lookup(rec.Addr, rec.Size); found {
-		if inv {
-			e.RF.MarkINV(rec.Dst)
-		} else {
-			e.RF.ClearINV(rec.Dst)
-			res.Valid++
-		}
-		return
+	// Steps 1–2: forwarded from the store buffer, else the pre-execute
+	// cache, with the forwarded bytes' INV status. Step 3: in the CPU's
+	// main cache — trust it unless the PTE says the page holds bogus data.
+	// Step 4: only in memory — the same test, then move the line into the
+	// cache (warming).
+	forwarded, inv := e.SB.Lookup(rec.Addr, rec.Size)
+	if !forwarded {
+		forwarded, inv = e.PXC.Read(rec.Addr, rec.Size)
 	}
-	if present, inv := e.PXC.Read(rec.Addr, rec.Size); present {
-		if inv {
-			e.RF.MarkINV(rec.Dst)
-		} else {
-			e.RF.ClearINV(rec.Dst)
-			res.Valid++
-		}
-		return
+	if !forwarded {
+		inv = pteINV
 	}
-	// Step 3: in the CPU's main cache — trust it unless the PTE says the
-	// page holds bogus data. Step 4: only in memory — the same test, then
-	// move the line into the cache (warming).
-	if pteINV {
+	if inv {
 		e.RF.MarkINV(rec.Dst)
 		return
 	}
 	e.RF.ClearINV(rec.Dst)
 	res.Valid++
-	if !env.LLCContains(rec.Addr) && *used+e.Costs.MemFill <= budget {
+	if !forwarded && !env.LLCContains(rec.Addr) && *used+e.Costs.MemFill <= budget {
 		env.LLCFill(rec.Addr)
 		*used += e.Costs.MemFill
 		res.Fills++

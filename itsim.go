@@ -205,7 +205,7 @@ const WorkloadBaseVA = workload.BaseVA
 // files) under the given policy. dataIntensive hints how memory-hostile the
 // mix is (0–3), selecting the same per-batch DRAM sizing the paper uses.
 func RunProcesses(name string, specs []ProcessSpec, kind Policy, dataIntensive int, opts Options) (*Run, error) {
-	return core.RunSpecs(name, specs, policy.Factory(kind, opts.ITS)(), dataIntensive, opts)
+	return core.RunSpecs(name, specs, policy.Factory(kind, opts.ITS), dataIntensive, opts)
 }
 
 // WriteTrace serializes a trace in the binary ITRC format.

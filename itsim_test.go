@@ -106,6 +106,23 @@ func TestRunProcessesPublicAPI(t *testing.T) {
 	if len(run.Procs) != 2 || !run.Procs[0].Finished || !run.Procs[1].Finished {
 		t.Fatal("custom run incomplete")
 	}
+
+	// Every core gets its own policy instance, so a custom mix runs on
+	// more than one core too.
+	specs = []itsim.ProcessSpec{
+		{Name: "a", Gen: mk("wrf"), Priority: 2, BaseVA: itsim.WorkloadBaseVA},
+		{Name: "b", Gen: mk("randomwalk"), Priority: 1, BaseVA: itsim.WorkloadBaseVA},
+	}
+	run, err = itsim.RunProcesses("custom", specs, itsim.ITS, 1, itsim.Options{Scale: 0.01, Cores: 2})
+	if err != nil {
+		t.Fatalf("Cores: 2: %v", err)
+	}
+	if len(run.Cores) != 2 {
+		t.Fatalf("Cores: 2 run has %d per-core entries, want 2", len(run.Cores))
+	}
+	if !run.Procs[0].Finished || !run.Procs[1].Finished {
+		t.Fatal("two-core custom run incomplete")
+	}
 }
 
 func TestDefaultMachineConfigMatchesPaper(t *testing.T) {
