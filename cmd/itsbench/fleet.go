@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"itsim/internal/chaos"
 	"itsim/internal/cluster"
 	"itsim/internal/core"
 	"itsim/internal/policy"
@@ -25,9 +26,9 @@ const fleetTenantSpec = "name=web,bench=pagerank,rate=3e5,req=6,prio=3,slo=20ms;
 var fleetPolicies = []policy.Kind{policy.Sync, policy.ITS}
 
 // printFleet runs the fleet serving sweep — every routing policy × Sync/ITS
-// over the fixed three-tenant mix — and reports per-tenant tail latency and
-// SLO attainment.
-func printFleet(w io.Writer, opts core.Options, format string, doc *jsonDoc) error {
+// over the fixed three-tenant mix, under machine-level chaos chaosCfg —
+// and reports per-tenant tail latency and SLO attainment.
+func printFleet(w io.Writer, opts core.Options, chaosCfg chaos.Config, format string, doc *jsonDoc) error {
 	specs, err := cluster.ParseTenantSpec(fleetTenantSpec)
 	if err != nil {
 		return err
@@ -45,7 +46,7 @@ func printFleet(w io.Writer, opts core.Options, format string, doc *jsonDoc) err
 				Scale:         opts.Scale,
 				Cores:         opts.Cores,
 				Fault:         opts.Fault,
-				Chaos:         opts.Chaos,
+				Chaos:         chaosCfg,
 				SpinBudget:    opts.SpinBudget,
 				Tracer:        opts.Tracer,
 				GaugeInterval: opts.GaugeInterval,

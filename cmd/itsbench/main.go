@@ -158,14 +158,13 @@ func run(w io.Writer, p params) (*jsonDoc, error) {
 		return nil, err
 	}
 	opts.Scale = p.scale
-	opts.Chaos = chaosCfg
 
 	doc := &jsonDoc{SchemaVersion: docSchemaVersion, Scale: p.scale}
 	tables := w
 	if p.format == "json" {
 		tables = io.Discard
 	}
-	err = runExperiments(tables, p.exp, needGrid, opts, p.format, doc)
+	err = runExperiments(tables, p.exp, needGrid, opts, chaosCfg, p.format, doc)
 	if cerr := opts.Tracer.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("finalizing trace: %w", cerr)
 	}
@@ -181,8 +180,9 @@ func run(w io.Writer, p params) (*jsonDoc, error) {
 }
 
 // runExperiments runs exp, records its data in doc and renders its tables
-// to w.
-func runExperiments(w io.Writer, exp string, needGrid bool, opts core.Options, format string, doc *jsonDoc) error {
+// to w. chaosCfg applies to the fleet sweep only: the single-machine
+// experiments have no machine population to fail.
+func runExperiments(w io.Writer, exp string, needGrid bool, opts core.Options, chaosCfg chaos.Config, format string, doc *jsonDoc) error {
 	var grid []core.GridResult
 	if needGrid {
 		var err error
@@ -254,7 +254,7 @@ func runExperiments(w io.Writer, exp string, needGrid bool, opts core.Options, f
 	case "ablate":
 		return printAblations(w, opts, format, doc)
 	case "fleet":
-		return printFleet(w, opts, format, doc)
+		return printFleet(w, opts, chaosCfg, format, doc)
 	}
 	return nil
 }

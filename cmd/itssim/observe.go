@@ -106,7 +106,7 @@ func observeAttribute(args []string, out io.Writer) int {
 			fmt.Fprintf(os.Stderr, "itssim observe: -check wants a single-run trace, got %d runs\n", len(att.Runs))
 			return 2
 		}
-		if err := sum.CheckAttribution(att.Runs[0].CoreAttributions()); err != nil {
+		if err := att.Runs[0].Check(&sum); err != nil {
 			fmt.Fprintln(os.Stderr, "itssim observe: attribution does not reconcile:", err)
 			return 1
 		}

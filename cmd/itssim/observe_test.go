@@ -11,6 +11,7 @@ import (
 
 	"itsim/internal/core"
 	"itsim/internal/fault"
+	"itsim/internal/metrics"
 	"itsim/internal/obs"
 	"itsim/internal/policy"
 	"itsim/internal/replay"
@@ -94,6 +95,37 @@ func TestObserveDeterministicAttributeAndDiff(t *testing.T) {
 	}
 	if len(att.Runs) != 1 || len(att.Runs[0].Cores) != 2 {
 		t.Fatalf("unexpected attribution shape: %+v", att.Runs)
+	}
+}
+
+// -check reconciles per pid as well as per core: a summary whose one
+// process claims a nanosecond more CPU than the trace folds must fail it,
+// though every per-core total still matches.
+func TestObserveCheckReconcilesPerPid(t *testing.T) {
+	dir := t.TempDir()
+	trace, sum := writeFaultyTrace(t, dir, "a")
+	data, err := os.ReadFile(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s metrics.Summary
+	if err := json.Unmarshal(data, &s); err != nil {
+		t.Fatal(err)
+	}
+	s.Procs[1].CPUTime++
+	if data, err = json.Marshal(s); err != nil {
+		t.Fatal(err)
+	}
+	tampered := filepath.Join(dir, "tampered.json")
+	if err := os.WriteFile(tampered, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code := observeMain([]string{"attribute", "-check", sum, trace}, &out); code != 0 {
+		t.Fatalf("-check against the run's own summary exited %d", code)
+	}
+	if code := observeMain([]string{"attribute", "-check", tampered, trace}, &out); code != 1 {
+		t.Fatalf("-check against a summary with one tampered process CPUTime exited %d, want 1", code)
 	}
 }
 

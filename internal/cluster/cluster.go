@@ -235,7 +235,6 @@ type request struct {
 	shed       bool
 	failed     bool
 	hedged     bool
-	hedgeWin   bool
 	dispatches int // primary + retries (hedges excluded): the backoff exponent
 	live       int // non-cancelled, unfinished attempts in flight
 	attempts   []*attempt
@@ -323,9 +322,11 @@ func Run(cfg Config) (*Result, error) {
 		f.machines[i].stats.ID = i
 	}
 	f.loads = make([]Load, cfg.Machines)
-	f.tAccs = make([]tenantAcc, len(cfg.Tenants))
+	f.tenants = make([]metrics.TenantStats, len(cfg.Tenants))
 	f.trackers = make([]*workload.QuantileTracker, len(cfg.Tenants))
 	for ti, t := range cfg.Tenants {
+		f.tenants[ti] = metrics.TenantStats{Name: t.Name, Bench: t.Bench,
+			SLONs: int64(t.SLO), DeadlineNs: int64(t.Deadline)}
 		// Validate bounds each scale alone; their product must still
 		// give a profile (specFor builds one per request).
 		if _, err := workload.ProfileFor(t.Bench, t.scale(cfg.Scale)); err != nil {
@@ -439,7 +440,9 @@ type fleet struct {
 	timers   sim.Engine   // lifecycle timers (*timer handlers)
 	parked   []*attempt
 	trackers []*workload.QuantileTracker
-	tAccs    []tenantAcc
+	// tenants holds each tenant's summary row; the resilience counters
+	// accrue in it as the run goes, result() fills in the rest.
+	tenants  []metrics.TenantStats
 	maxPrio  int
 	resolved int
 }
@@ -514,9 +517,8 @@ func (f *fleet) finishEpoch(m *machineState) {
 		r.syncWait = p.StorageWait
 		r.done = p.Finished
 		r.machine = m.id
-		r.hedgeWin = a.hedge
 		if a.hedge {
-			f.tAccs[r.tenant].hedgeWins++
+			f.tenants[r.tenant].HedgeWins++
 		}
 		f.resolve(r, a)
 		if tr := f.trackers[r.tenant]; tr != nil && r.done {
@@ -555,37 +557,24 @@ func (f *fleet) result(reqs []*request) *Result {
 		latency  *metrics.Histogram
 		syncWait *metrics.Histogram
 		met      uint64
-		ts       metrics.TenantStats
 	}
 	accs := make([]acc, len(cfg.Tenants))
-	for i, t := range cfg.Tenants {
+	for i := range accs {
 		accs[i] = acc{
 			latency:  metrics.NewWideLatencyHistogram(),
 			syncWait: metrics.NewWideLatencyHistogram(),
-			ts: metrics.TenantStats{
-				Name:       t.Name,
-				Bench:      t.Bench,
-				SLONs:      int64(t.SLO),
-				DeadlineNs: int64(t.Deadline),
-				TimedOut:   f.tAccs[i].timedOut,
-				Retries:    f.tAccs[i].retries,
-				Hedges:     f.tAccs[i].hedges,
-				HedgeWins:  f.tAccs[i].hedgeWins,
-				Shed:       f.tAccs[i].shed,
-				Failed:     f.tAccs[i].failed,
-			},
 		}
 	}
 
 	var makespan sim.Time
 	for _, r := range reqs {
-		a := &accs[r.tenant]
-		a.ts.Requests++
+		a, ts := &accs[r.tenant], &f.tenants[r.tenant]
+		ts.Requests++
 		sum.Requests++
 		if !r.done {
 			continue
 		}
-		a.ts.Completed++
+		ts.Completed++
 		sum.Completed++
 		lat := r.completion - r.arrival
 		a.latency.Observe(lat)
@@ -601,14 +590,14 @@ func (f *fleet) result(reqs []*request) *Result {
 	sum.MakespanNs = int64(makespan)
 
 	for i := range accs {
-		a := &accs[i]
-		a.ts.Latency = a.latency.Snapshot()
-		a.ts.SyncWait = a.syncWait.Snapshot()
-		if a.ts.SLONs > 0 && a.ts.Completed > 0 {
-			a.ts.SLOAttainment = float64(a.met) / float64(a.ts.Completed)
+		a, ts := &accs[i], &f.tenants[i]
+		ts.Latency = a.latency.Snapshot()
+		ts.SyncWait = a.syncWait.Snapshot()
+		if ts.SLONs > 0 && ts.Completed > 0 {
+			ts.SLOAttainment = float64(a.met) / float64(ts.Completed)
 		}
-		sum.Tenants = append(sum.Tenants, a.ts)
 	}
+	sum.Tenants = f.tenants
 
 	var inj metrics.InjectionStats
 	injected := false
@@ -649,13 +638,13 @@ func (f *fleet) result(reqs []*request) *Result {
 			cs.Brownouts += m.stats.Brownouts
 			cs.Rehomed += m.stats.Rehomed
 		}
-		for _, a := range f.tAccs {
-			cs.Timeouts += a.timedOut
-			cs.Retries += a.retries
-			cs.Hedges += a.hedges
-			cs.HedgeWins += a.hedgeWins
-			cs.Shed += a.shed
-			cs.Failed += a.failed
+		for _, ts := range f.tenants {
+			cs.Timeouts += ts.TimedOut
+			cs.Retries += ts.Retries
+			cs.Hedges += ts.Hedges
+			cs.HedgeWins += ts.HedgeWins
+			cs.Shed += ts.Shed
+			cs.Failed += ts.Failed
 		}
 		sum.Chaos = cs
 	}

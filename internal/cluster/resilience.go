@@ -103,16 +103,6 @@ type attempt struct {
 	cancelled bool
 }
 
-// tenantAcc accumulates one tenant's resilience counters over a run.
-type tenantAcc struct {
-	timedOut  uint64
-	retries   uint64
-	hedges    uint64
-	hedgeWins uint64
-	shed      uint64
-	failed    uint64
-}
-
 // timerKind discriminates the coordinator's deadline timers.
 type timerKind uint8
 
@@ -430,7 +420,7 @@ func (f *fleet) fireTimeout(t *timer, now sim.Time) {
 		return
 	}
 	spec := &f.cfg.Tenants[r.tenant]
-	f.tAccs[r.tenant].timedOut++
+	f.tenants[r.tenant].TimedOut++
 	if f.want(obs.EvReqTimeout) {
 		f.emit(obs.Event{Time: now, Type: obs.EvReqTimeout, PID: -1, Core: a.machine,
 			Value: int64(r.id), Dur: t.d, Cause: spec.Name})
@@ -466,7 +456,7 @@ func (f *fleet) fireTimeout(t *timer, now sim.Time) {
 		return
 	}
 	r.failed = true
-	f.tAccs[r.tenant].failed++
+	f.tenants[r.tenant].Failed++
 	f.resolve(r, nil)
 }
 
@@ -477,7 +467,7 @@ func (f *fleet) fireRetry(t *timer, now sim.Time) {
 		return
 	}
 	spec := &f.cfg.Tenants[r.tenant]
-	f.tAccs[r.tenant].retries++
+	f.tenants[r.tenant].Retries++
 	if f.want(obs.EvReqRetry) {
 		f.emit(obs.Event{Time: now, Type: obs.EvReqRetry, PID: -1,
 			Value: int64(r.id), Dur: t.d, Cause: spec.Name})
@@ -494,7 +484,7 @@ func (f *fleet) fireHedge(t *timer, now sim.Time) {
 	}
 	spec := &f.cfg.Tenants[r.tenant]
 	r.hedged = true
-	f.tAccs[r.tenant].hedges++
+	f.tenants[r.tenant].Hedges++
 	if f.want(obs.EvReqHedge) {
 		f.emit(obs.Event{Time: now, Type: obs.EvReqHedge, PID: -1,
 			Value: int64(r.id), Dur: t.d, Cause: spec.Name})
@@ -516,7 +506,7 @@ func (f *fleet) admit(r *request) bool {
 		return true
 	}
 	r.shed = true
-	f.tAccs[r.tenant].shed++
+	f.tenants[r.tenant].Shed++
 	f.resolved++
 	r.resolved = true
 	if f.want(obs.EvReqShed) {

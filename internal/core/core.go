@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 
-	"itsim/internal/chaos"
 	"itsim/internal/exec"
 	"itsim/internal/fault"
 	"itsim/internal/machine"
@@ -45,10 +44,6 @@ type Options struct {
 	// nothing. Composes with Machine: a non-nil Machine config's own
 	// Fault field wins when this one is zero.
 	Fault fault.Config
-	// Chaos configures deterministic machine-level chaos injection; it
-	// only affects the fleet experiment (the single-machine experiments
-	// have no machine population to fail). The zero value injects nothing.
-	Chaos chaos.Config
 	// SpinBudget bounds synchronous fault waits (0 = unbounded, the
 	// historical behaviour): waits predicted to exceed it demote to
 	// async context switches. Same precedence as Fault.

@@ -43,9 +43,11 @@ type Core struct {
 	PX *preexec.Engine
 	// Pol is this core's policy instance (policies are stateful).
 	Pol policy.Policy
-	// Aud is the core's always-on accounting auditor.
+	// Aud is the core's always-on accounting auditor; its fold is the
+	// core's time ledger.
 	Aud *obs.Auditor
-	// Met is the per-core metrics ledger.
+	// Met is the per-core metrics record. Its CPU, switch and idle times
+	// are copied from Aud when the run ends.
 	Met *metrics.Core
 
 	// Cur is the dispatched process; it stays dispatched across horizon
@@ -187,9 +189,10 @@ func (c *Core) RunUntil(horizon sim.Time) {
 // chargeSwitch charges the 7 µs context switch paid whenever the CPU leaves
 // a process (block, slice expiry, exit with successors). Dispatching the
 // next process is covered by this single save+restore charge, matching the
-// paper's one-switch-per-transition accounting. The per-core metric takes
-// the full clock cost (including the pollution tail) so per-core time
-// conservation closes exactly.
+// paper's one-switch-per-transition accounting. The switch event carries
+// the full clock cost (including the pollution tail), which the core's
+// auditor folds into its switch time, so per-core time conservation closes
+// exactly.
 func (c *Core) chargeSwitch(p *Proc) {
 	p.Met.ContextSwitches++
 	cost := kernel.ContextSwitchCost + kernel.SwitchPollutionCost
@@ -200,7 +203,6 @@ func (c *Core) chargeSwitch(p *Proc) {
 		c.TLB.Flush()
 		cost = kernel.ContextSwitchCost
 	}
-	c.Met.ContextSwitchTime += cost
 	c.advance(nil, cost)
 	if c.TLB == nil {
 		// The pollution tail (TLB shootdown, re-missing hot cache lines,
@@ -245,7 +247,8 @@ func (c *Core) pop(p *Proc) {
 }
 
 // advance moves this core's clock forward by d (firing due local events)
-// and charges p's slice and CPU occupancy, mirrored into the core ledger.
+// and charges p's slice and CPU occupancy. The core's CPU time is its
+// auditor's fold of the dispatch spans.
 func (c *Core) advance(p *Proc, d sim.Time) {
 	if d <= 0 {
 		return
@@ -254,7 +257,6 @@ func (c *Core) advance(p *Proc, d sim.Time) {
 	if p != nil {
 		p.sliceLeft -= d
 		p.Met.CPUTime += d
-		c.Met.CPUTime += d
 	}
 }
 

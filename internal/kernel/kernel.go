@@ -264,24 +264,19 @@ func (k *Kernel) StartSwapIn(now sim.Time, pid int, va uint64, prefetched bool) 
 	return out
 }
 
-// submitRead issues the swap-in DMA read. With no fault injector attached
-// this is exactly one SubmitPage — the historical path. Under injection it
-// follows the Linux swap path's error handling (cf. Zhong et al.,
-// "Revisiting Swapping in User-space"): a transient DMA failure is
-// retried with exponential backoff, bounded because the injector never
-// fails an attempt at its configured retry maximum. Each injected fault
-// observed on the swap-in path is emitted as a typed event, all stamped
-// at the submission time with the injected delay in Dur so the event
-// stream stays tidy.
+// submitRead issues the swap-in DMA read. It follows the Linux swap
+// path's error handling (cf. Zhong et al., "Revisiting Swapping in
+// User-space"): a transient DMA failure is retried with exponential
+// backoff, bounded because the injector never fails an attempt at its
+// configured retry maximum. With no fault injector attached the first
+// attempt always lands. Each injected fault observed on the swap-in path
+// is emitted as a typed event, all stamped at the submission time with the
+// injected delay in Dur so the event stream stays tidy.
 func (k *Kernel) submitRead(now sim.Time, pid int, va, slot uint64) sim.Time {
-	inj := k.dev.Injector()
-	if inj == nil {
-		return k.dev.SubmitPage(now, storage.Read, slot)
-	}
-	backoff := inj.Config().RetryBackoff
+	var backoff sim.Time
 	at := now
 	for attempt := 0; ; attempt++ {
-		res := k.dev.SubmitPageRetry(at, storage.Read, slot, attempt)
+		res := k.dev.SubmitRetry(at, storage.Read, slot, 4096, attempt)
 		if k.trc.Wants(obs.EvFaultInject) {
 			if res.Stalled > 0 {
 				k.trc.Emit(obs.Event{Time: now, Type: obs.EvFaultInject, PID: pid, Core: k.core, VA: va, Dur: res.Stalled, Cause: "stall"})
@@ -295,6 +290,9 @@ func (k *Kernel) submitRead(now sim.Time, pid int, va, slot uint64) sim.Time {
 		}
 		if !res.Failed {
 			return res.Done
+		}
+		if attempt == 0 {
+			backoff = k.dev.Injector().Config().RetryBackoff
 		}
 		k.stats.DMARetries++
 		if k.trc.Wants(obs.EvIORetry) {

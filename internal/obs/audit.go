@@ -21,12 +21,14 @@ import (
 //     checked continuously at dispatch granularity rather than once at
 //     the end.
 //
-// A violation records the offending event and is reported through Err();
-// every simulated core (internal/exec) runs an Auditor on every run, and
-// internal/smp fails the run loudly when one fires.
+// A violation records the offending event and is reported through Err().
+// The auditor's fold is the per-core time ledger: every simulated core
+// (internal/exec) runs an Auditor on every run, internal/smp sets the
+// core's CPU, switch and idle totals from Folded and fails the run loudly
+// when a violation fires, and a trace replay (internal/replay) folds each
+// core's recorded events through an Auditor of its own.
 type Auditor struct {
 	last       sim.Time
-	started    bool
 	dispatched bool
 	dispatch   sim.Time
 	dispatchP  int
@@ -81,8 +83,7 @@ func (a *Auditor) Write(ev Event) {
 	a.events++
 	if ev.Type == EvRunBegin {
 		// A new run legitimately restarts the virtual clock.
-		*a = Auditor{last: ev.Time, started: true, dispatchP: -1,
-			events: a.events, violations: a.violations}
+		*a = Auditor{last: ev.Time, dispatchP: -1, events: a.events, violations: a.violations}
 		return
 	}
 	if ev.Time < a.last {
@@ -146,17 +147,11 @@ func (a *Auditor) Write(ev Event) {
 		a.idleAcc += ev.Time - a.idleStart
 		a.idleOpen = false
 	case EvRunEnd:
-		if a.dispatched {
-			a.fail(ev, "run ended with pid %d still on CPU", a.dispatchP)
-		}
-		if a.idleOpen {
-			a.fail(ev, "run ended inside an open scheduler-idle span")
-		}
+		a.CheckClosed(ev)
 		if drift := ev.Time - a.accounted; drift != 0 {
 			a.fail(ev, "time conservation broken at run end: makespan %v but accounted %v (drift %v)",
 				ev.Time, a.accounted, drift)
 		}
-		a.started = false
 	default:
 		// The auditor checks only the conservation-bearing events
 		// (dispatch/occupancy/switch/idle); everything else — prefetch,
@@ -167,6 +162,24 @@ func (a *Auditor) Write(ev Event) {
 		// on silent fallthrough.
 	}
 }
+
+// CheckClosed records a violation for each span still open when the run
+// ends at ev: a process on the CPU or a scheduler-idle span. Write runs it
+// at EvRunEnd before checking conservation against the core's final clock;
+// a trace replay, which records only the run's makespan and not each
+// core's final clock, runs it alone.
+func (a *Auditor) CheckClosed(ev Event) {
+	if a.dispatched {
+		a.fail(ev, "run ended with pid %d still on CPU", a.dispatchP)
+	}
+	if a.idleOpen {
+		a.fail(ev, "run ended inside an open scheduler-idle span")
+	}
+}
+
+// OnCPU returns the pid dispatched on the core, and false when no process
+// is on the CPU.
+func (a *Auditor) OnCPU() (pid int, ok bool) { return a.dispatchP, a.dispatched }
 
 // Close implements Sink; it returns the audit verdict like Err.
 func (a *Auditor) Close() error { return a.Err() }
@@ -179,9 +192,10 @@ func (a *Auditor) Accounted() sim.Time { return a.accounted }
 
 // Folded returns the attributed time split by category — CPU occupancy
 // (dispatch spans), context switching, and scheduler idle. On a clean run
-// the three sum to Accounted(); the machine cross-checks them against the
-// per-core conservation ledger at run end so trace replays (internal/replay)
-// reconcile with metrics by construction, not by coincidence.
+// the three sum to Accounted(). They are the core's ledger: internal/smp
+// copies them into metrics.Core at run end, and internal/replay reports
+// them per core, so a replayed trace reconciles with the summary by
+// construction.
 func (a *Auditor) Folded() (cpu, sw, idle sim.Time) {
 	if a == nil {
 		return 0, 0, 0

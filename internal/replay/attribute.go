@@ -32,22 +32,18 @@ type RunAttribution struct {
 	counts [obs.NumTypes]uint64
 }
 
-// CoreAttr is one core's fold: the three conservation categories plus the
-// per-pid split of the CPU category.
+// CoreAttr is one core's fold: its auditor's three conservation
+// categories plus the per-pid split of the CPU category.
 type CoreAttr struct {
-	Core       int         `json:"core"`
-	CPUTime    sim.Time    `json:"cpu_time_ns"`
-	SwitchTime sim.Time    `json:"context_switch_time_ns"`
-	IdleTime   sim.Time    `json:"scheduler_idle_ns"`
+	metrics.CoreAttribution
 	Dispatches uint64      `json:"dispatches"`
 	Switches   uint64      `json:"switches"`
 	IdleSpans  uint64      `json:"idle_spans"`
 	Procs      []*ProcAttr `json:"procs"`
-}
 
-// Total is the core's attributed virtual time (== its local clock on a
-// clean trace).
-func (c *CoreAttr) Total() sim.Time { return c.CPUTime + c.SwitchTime + c.IdleTime }
+	// byPID indexes Procs while the run is open.
+	byPID map[int]*ProcAttr
+}
 
 // ProcAttr splits one process's CPU occupancy on one core. A process that
 // migrates appears under every core it ran on. The identity
@@ -73,281 +69,176 @@ type ProcAttr struct {
 	syncTotal sim.Time
 }
 
-// coreFold is the streaming per-core state while a run is open.
-type coreFold struct {
-	attr       *coreEntry
-	last       sim.Time
-	dispatched bool
-	pid        int
-	start      sim.Time
-	idleOpen   bool
-	idleStart  sim.Time
-}
-
-// coreEntry pairs a CoreAttr under construction with its per-pid table.
-type coreEntry struct {
-	ca    *CoreAttr
-	procs map[int]*ProcAttr
-}
-
-// folder is the whole streaming fold state.
+// folder is Attribute's runSink: it turns the first auditor violation
+// into the replay's error, and adds the per-pid split and the event counts
+// to the per-core fold of frameRuns' auditors.
 type folder struct {
-	out     *Attribution
-	run     *RunAttribution // nil between runs
-	cores   map[int]*coreFold
-	coreIDs []int // insertion-ordered core ids for deterministic finalize
+	out   Attribution
+	run   *RunAttribution
+	cores []*CoreAttr // by runCore.idx
 }
 
 // Attribute folds a whole trace into per-run, per-core, per-pid
-// virtual-time totals, validating interval discipline as it streams: spans
-// must alternate and close, per-core time must be monotonic and fully
-// attributed (the auditor's conservation invariant, replayed from the
-// file), and nothing may follow a run's EvRunEnd. A trace recorded with an
-// event filter that drops the scheduling classes fails here — attribution
-// needs the full conservation-bearing stream.
+// virtual-time totals. Each core's events fold through an obs.Auditor, as
+// on a live run, so spans must alternate and close and per-core time must
+// be monotonic and fully attributed; nothing may follow a run's EvRunEnd.
+// A trace recorded with an event filter that drops the scheduling classes
+// fails here — attribution needs the full conservation-bearing stream.
 func Attribute(r *Reader) (*Attribution, error) {
-	f := &folder{out: &Attribution{}}
-	for {
-		ev, ok, err := r.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if err := f.fold(ev); err != nil {
-			return nil, fmt.Errorf("replay: line %d: %w", r.Line(), err)
-		}
+	f := &folder{}
+	if err := frameRuns(r, f); err != nil {
+		return nil, err
 	}
-	if f.run != nil {
-		return nil, fmt.Errorf("replay: trace ended inside run %q (no EvRunEnd)", f.run.Label)
-	}
-	if len(f.out.Runs) == 0 {
-		return nil, fmt.Errorf("replay: trace contains no runs")
-	}
-	return f.out, nil
-}
-
-// core returns (creating on demand) the fold state of one core.
-func (f *folder) core(id int) *coreFold {
-	if st, ok := f.cores[id]; ok {
-		return st
-	}
-	st := &coreFold{attr: &coreEntry{ca: &CoreAttr{Core: id}, procs: make(map[int]*ProcAttr)}}
-	f.cores[id] = st
-	f.coreIDs = append(f.coreIDs, id)
-	return st
+	return &f.out, nil
 }
 
 // proc returns (creating on demand) the per-pid row of one core.
-func (e *coreEntry) proc(pid int, name string) *ProcAttr {
-	if p, ok := e.procs[pid]; ok {
+func (c *CoreAttr) proc(pid int, name string) *ProcAttr {
+	if p, ok := c.byPID[pid]; ok {
 		if p.Name == "" {
 			p.Name = name
 		}
 		return p
 	}
 	p := &ProcAttr{PID: pid, Name: name}
-	e.procs[pid] = p
+	c.byPID[pid] = p
 	return p
 }
 
-// fold consumes one event. The switch is exhaustive over every obs event
-// kind (enforced by the schemafreeze itslint pass): a new kind must be
-// explicitly classified as interval-bearing or count-only.
-func (f *folder) fold(ev obs.Event) error {
-	if ev.Type == obs.EvRunBegin {
-		if f.run != nil {
-			return fmt.Errorf("RunBegin %q inside open run %q", ev.Cause, f.run.Label)
-		}
-		f.run = &RunAttribution{Label: ev.Cause}
-		f.cores = make(map[int]*coreFold)
-		f.coreIDs = nil
-		f.run.Events++
-		f.run.counts[ev.Type]++
-		return nil
-	}
-	if f.run == nil {
-		if fleetScope(ev.Type) {
-			// Cluster-coordinator events (request arrivals, routing,
-			// completions) are stamped in global fleet time and live
-			// between the per-machine runs of a fleet trace; they carry
-			// no per-core occupancy, so attribution skips them.
-			return nil
-		}
-		return fmt.Errorf("%s event outside any run (after RunEnd or before RunBegin)", ev.Type)
-	}
+func (f *folder) count(ev obs.Event) {
 	f.run.Events++
 	f.run.counts[ev.Type]++
-	if ev.Type == obs.EvRunEnd {
-		return f.finish(ev)
-	}
+}
 
-	st := f.core(ev.Core)
-	if ev.Time < st.last {
-		return fmt.Errorf("core %d time went backwards: %v after %v", ev.Core, ev.Time, st.last)
-	}
-	st.last = ev.Time
-	ca := st.attr.ca
+func (f *folder) begin(ev obs.Event) {
+	f.run = &RunAttribution{Label: ev.Cause}
+	f.cores = f.cores[:0]
+	f.count(ev)
+}
 
+// event folds one event. The switch is exhaustive over every obs event
+// kind (enforced by the schemafreeze itslint pass): a new kind must be
+// explicitly classified as interval-bearing or count-only.
+func (f *folder) event(ev obs.Event, rc *runCore, span sim.Time) error {
+	f.count(ev)
+	if vs := rc.aud.Violations(); len(vs) > 0 {
+		hint := ""
+		if ev.Type == obs.EvDispatch && span != 0 {
+			hint = " — was the trace recorded with an event filter?"
+		}
+		return fmt.Errorf("core %d: %s%s", rc.id, vs[0], hint)
+	}
+	if rc.idx == len(f.cores) {
+		f.cores = append(f.cores, &CoreAttr{byPID: make(map[int]*ProcAttr)})
+	}
+	c := f.cores[rc.idx]
 	switch ev.Type {
 	case obs.EvDispatch:
-		if st.dispatched {
-			return fmt.Errorf("core %d: dispatch of pid %d while pid %d still on CPU", ev.Core, ev.PID, st.pid)
-		}
-		if st.idleOpen {
-			return fmt.Errorf("core %d: dispatch inside an open scheduler-idle span", ev.Core)
-		}
-		if got := ca.Total(); got != ev.Time {
-			return fmt.Errorf("core %d: conservation broken at dispatch: clock %v but attributed %v — was the trace recorded with an event filter?",
-				ev.Core, ev.Time, got)
-		}
-		st.dispatched = true
-		st.pid = ev.PID
-		st.start = ev.Time
-		ca.Dispatches++
-		st.attr.proc(ev.PID, ev.Cause).Dispatches++
+		c.Dispatches++
+		c.proc(ev.PID, ev.Cause).Dispatches++
 	case obs.EvPreempt, obs.EvBlock, obs.EvProcFinish:
-		if !st.dispatched {
-			return fmt.Errorf("core %d: %s of pid %d with no process on CPU", ev.Core, ev.Type, ev.PID)
-		}
-		if ev.PID != st.pid {
-			return fmt.Errorf("core %d: %s of pid %d but pid %d was dispatched", ev.Core, ev.Type, ev.PID, st.pid)
-		}
-		occ := ev.Time - st.start
-		if ev.Dur != occ {
-			return fmt.Errorf("core %d: occupancy mismatch: event reports %v, dispatch span is %v", ev.Core, ev.Dur, occ)
-		}
-		ca.CPUTime += occ
-		st.attr.proc(ev.PID, "").CPUTime += occ
-		st.dispatched = false
+		c.proc(ev.PID, "").CPUTime += span
 	case obs.EvContextSwitch:
-		if st.dispatched {
-			return fmt.Errorf("core %d: context switch charged while pid %d is on CPU", ev.Core, st.pid)
-		}
-		ca.SwitchTime += ev.Dur
-		ca.Switches++
-	case obs.EvSchedIdleBegin:
-		if st.idleOpen {
-			return fmt.Errorf("core %d: scheduler-idle begin inside an open idle span", ev.Core)
-		}
-		if st.dispatched {
-			return fmt.Errorf("core %d: scheduler idle while pid %d is on CPU", ev.Core, st.pid)
-		}
-		st.idleOpen = true
-		st.idleStart = ev.Time
+		c.Switches++
 	case obs.EvSchedIdleEnd:
-		if !st.idleOpen {
-			return fmt.Errorf("core %d: scheduler-idle end without begin", ev.Core)
-		}
-		ca.IdleTime += ev.Time - st.idleStart
-		ca.IdleSpans++
-		st.idleOpen = false
+		c.IdleSpans++
 	case obs.EvMajorFaultEnd:
 		// Only synchronous windows are CPU-attributed: they close inline
 		// within the faulting process's dispatch. Async/spin/demote ends
 		// fire off-CPU when the DMA lands and carry no occupancy.
 		if ev.Cause == "sync" {
-			if !st.dispatched || st.pid != ev.PID {
-				return fmt.Errorf("core %d: synchronous fault end for pid %d outside its dispatch", ev.Core, ev.PID)
+			if pid, on := rc.aud.OnCPU(); !on || pid != ev.PID {
+				return fmt.Errorf("core %d: synchronous fault end for pid %d outside its dispatch", rc.id, ev.PID)
 			}
-			p := st.attr.proc(ev.PID, "")
+			p := c.proc(ev.PID, "")
 			p.syncTotal += ev.Dur
 			p.SyncFaults++
 		}
-	case obs.EvPrefetchWalk:
-		if st.dispatched && st.pid == ev.PID {
-			st.attr.proc(ev.PID, "").PrefetchWalk += ev.Dur
+	case obs.EvPrefetchWalk, obs.EvPreexecWindow, obs.EvRecovery:
+		// Stolen work counts for the process whose wait it ran in.
+		if pid, on := rc.aud.OnCPU(); on && pid == ev.PID {
+			p := c.proc(pid, "")
+			switch ev.Type {
+			case obs.EvPrefetchWalk:
+				p.PrefetchWalk += ev.Dur
+			case obs.EvPreexecWindow:
+				p.Preexec += ev.Dur
+			default:
+				p.Recovery += ev.Dur
+			}
 		}
-	case obs.EvPreexecWindow:
-		if st.dispatched && st.pid == ev.PID {
-			st.attr.proc(ev.PID, "").Preexec += ev.Dur
-		}
-	case obs.EvRecovery:
-		if st.dispatched && st.pid == ev.PID {
-			st.attr.proc(ev.PID, "").Recovery += ev.Dur
-		}
-	case obs.EvMajorFaultBegin, obs.EvUnblock, obs.EvSliceExpiry, obs.EvPrefetchIssue,
-		obs.EvPrefetchDrop, obs.EvPrefetchHit, obs.EvSwapIn, obs.EvEvict, obs.EvWriteBack,
-		obs.EvGauge, obs.EvFaultInject, obs.EvIORetry, obs.EvDemote, obs.EvPrefetchThrottle,
-		obs.EvRequestArrive, obs.EvRequestRoute, obs.EvRequestDone,
+	case obs.EvSchedIdleBegin, obs.EvMajorFaultBegin, obs.EvUnblock, obs.EvSliceExpiry,
+		obs.EvPrefetchIssue, obs.EvPrefetchDrop, obs.EvPrefetchHit, obs.EvSwapIn, obs.EvEvict,
+		obs.EvWriteBack, obs.EvGauge, obs.EvFaultInject, obs.EvIORetry, obs.EvDemote,
+		obs.EvPrefetchThrottle, obs.EvRequestArrive, obs.EvRequestRoute, obs.EvRequestDone,
 		obs.EvMachineDown, obs.EvMachineUp, obs.EvMachineDrain, obs.EvMachineDegrade,
 		obs.EvReqTimeout, obs.EvReqRetry, obs.EvReqHedge, obs.EvReqShed:
 		// Count-only: no CPU-time accounting rides on these.
 	case obs.EvRunBegin, obs.EvRunEnd:
-		// Handled above; listed to keep the switch exhaustive.
+		// Framed by frameRuns; listed to keep the switch exhaustive.
 	}
 	return nil
 }
 
-// fleetScope reports whether t is a cluster-coordinator event kind that a
-// fleet trace legitimately carries outside the per-machine RunBegin/RunEnd
-// frames (see internal/cluster).
-func fleetScope(t obs.Type) bool {
-	switch t {
-	case obs.EvRequestArrive, obs.EvRequestRoute, obs.EvRequestDone,
-		obs.EvMachineDown, obs.EvMachineUp, obs.EvMachineDrain, obs.EvMachineDegrade,
-		obs.EvReqTimeout, obs.EvReqRetry, obs.EvReqHedge, obs.EvReqShed:
-		return true
-	default:
-		return false
-	}
-}
-
-// finish closes the current run at its EvRunEnd.
-func (f *folder) finish(ev obs.Event) error {
-	for _, id := range f.coreIDs {
-		st := f.cores[id]
-		if st.dispatched {
-			return fmt.Errorf("run ended with pid %d still dispatched on core %d", st.pid, id)
+// end closes the run. The trace records the run's makespan, not each
+// core's final clock, so only the open-span half of the auditor's run-end
+// check applies here; conservation against the local clocks is Check's.
+func (f *folder) end(ev obs.Event, cores []*runCore) error {
+	f.count(ev)
+	f.run.Makespan = ev.Time
+	for _, rc := range cores {
+		rc.aud.CheckClosed(ev)
+		if vs := rc.aud.Violations(); len(vs) > 0 {
+			return fmt.Errorf("core %d: %s", rc.id, vs[0])
 		}
-		if st.idleOpen {
-			return fmt.Errorf("run ended inside an open scheduler-idle span on core %d", id)
+		c := f.cores[rc.idx]
+		c.Core = rc.id
+		c.CPUTime, c.ContextSwitchTime, c.SchedulerIdle = rc.aud.Folded()
+		c.Procs = make([]*ProcAttr, 0, len(c.byPID))
+		//itslint:allow order-insensitive extraction, sorted immediately below
+		for _, p := range c.byPID {
+			c.Procs = append(c.Procs, p)
 		}
-	}
-	run := f.run
-	run.Makespan = ev.Time
-	sort.Ints(f.coreIDs)
-	for _, id := range f.coreIDs {
-		e := f.cores[id].attr
-		e.ca.Procs = e.sortedProcs()
-		for _, p := range e.ca.Procs {
+		sort.Slice(c.Procs, func(i, j int) bool { return c.Procs[i].PID < c.Procs[j].PID })
+		for _, p := range c.Procs {
 			p.FaultWait = p.syncTotal - p.PrefetchWalk - p.Preexec - p.Recovery
 			p.Execute = p.CPUTime - p.syncTotal
 		}
-		run.Cores = append(run.Cores, e.ca)
+		c.byPID = nil
+		f.run.Cores = append(f.run.Cores, c)
 	}
-	f.out.Runs = append(f.out.Runs, run)
-	f.run = nil
-	f.cores = nil
-	f.coreIDs = nil
+	f.out.Runs = append(f.out.Runs, f.run)
 	return nil
 }
 
-// sortedProcs extracts the per-pid rows ascending by pid.
-func (e *coreEntry) sortedProcs() []*ProcAttr {
-	out := make([]*ProcAttr, 0, len(e.procs))
-	//itslint:allow order-insensitive extraction, sorted immediately below
-	for _, p := range e.procs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PID < out[j].PID })
-	return out
-}
-
-// CoreAttributions converts one run's fold into the metrics cross-check
-// form, for Summary.CheckAttribution.
-func (r *RunAttribution) CoreAttributions() []metrics.CoreAttribution {
-	out := make([]metrics.CoreAttribution, len(r.Cores))
+// Check reconciles one run's fold with the run's summary at zero
+// tolerance: each core's totals through Summary.CheckAttribution, and each
+// pid's CPU time, summed over the cores it ran on, against the summary's
+// Process.CPUTime.
+func (r *RunAttribution) Check(sum *metrics.Summary) error {
+	cores := make([]metrics.CoreAttribution, len(r.Cores))
 	for i, c := range r.Cores {
-		out[i] = metrics.CoreAttribution{
-			Core:              c.Core,
-			CPUTime:           c.CPUTime,
-			ContextSwitchTime: c.SwitchTime,
-			SchedulerIdle:     c.IdleTime,
+		cores[i] = c.CoreAttribution
+	}
+	if err := sum.CheckAttribution(cores); err != nil {
+		return err
+	}
+	cpu := make(map[int]sim.Time)
+	for _, c := range r.Cores {
+		for _, p := range c.Procs {
+			cpu[p.PID] += p.CPUTime
 		}
 	}
-	return out
+	for _, p := range sum.Procs {
+		if cpu[p.PID] != p.CPUTime {
+			return fmt.Errorf("replay: pid %d attributed cpu %v != ledger cpu %v", p.PID, cpu[p.PID], p.CPUTime)
+		}
+		delete(cpu, p.PID)
+	}
+	if len(cpu) > 0 {
+		return fmt.Errorf("replay: %d traced pid(s) missing from the summary", len(cpu))
+	}
+	return nil
 }
 
 // Count returns how many events of one type the run carried.
@@ -369,8 +260,8 @@ func (a *Attribution) WriteFolded(w io.Writer) error {
 	}
 	for _, run := range a.Runs {
 		for _, c := range run.Cores {
-			emit(c.IdleTime, "%s;core%d;idle", run.Label, c.Core)
-			emit(c.SwitchTime, "%s;core%d;switch", run.Label, c.Core)
+			emit(c.SchedulerIdle, "%s;core%d;idle", run.Label, c.Core)
+			emit(c.ContextSwitchTime, "%s;core%d;switch", run.Label, c.Core)
 			for _, p := range c.Procs {
 				name := p.Name
 				if name == "" {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"itsim/internal/obs"
+	"itsim/internal/sim"
 )
 
 // goodTrace is a fully-accounted single-core run with one synchronous fault
@@ -61,8 +62,8 @@ func TestAttributeGoodRun(t *testing.T) {
 		t.Fatalf("got %d cores, want 1", len(run.Cores))
 	}
 	c := run.Cores[0]
-	if c.CPUTime != 290 || c.SwitchTime != 20 || c.IdleTime != 90 {
-		t.Fatalf("core fold (cpu %v, switch %v, idle %v), want (290, 20, 90)", c.CPUTime, c.SwitchTime, c.IdleTime)
+	if c.CPUTime != 290 || c.ContextSwitchTime != 20 || c.SchedulerIdle != 90 {
+		t.Fatalf("core fold (cpu %v, switch %v, idle %v), want (290, 20, 90)", c.CPUTime, c.ContextSwitchTime, c.SchedulerIdle)
 	}
 	if c.Total() != run.Makespan {
 		t.Fatalf("core total %v != makespan %v", c.Total(), run.Makespan)
@@ -199,5 +200,88 @@ func TestAttributeFoldedOutput(t *testing.T) {
 		if !strings.Contains(a.String(), want) {
 			t.Fatalf("folded output missing %q:\n%s", want, a.String())
 		}
+	}
+}
+
+// The violation classes below fold through the same obs.Auditor as a live
+// run; each must fail naming its core and its line (the schema header is
+// line 1, so goodTrace()[i] sits on line i+2 until an event is dropped).
+
+func TestAttributeCatchesLeaveWithoutDispatch(t *testing.T) {
+	mutateTrace(t, "line 18: core 0: ProcFinish of pid 1 with no process on CPU", func(evs []obs.Event) []obs.Event {
+		return append(evs[:16:16], evs[17:]...) // drop pid 1's dispatch at 300
+	})
+}
+
+func TestAttributeCatchesBackwardsTime(t *testing.T) {
+	mutateTrace(t, "line 16: core 0: virtual time went backwards: 205ns after 210ns", func(evs []obs.Event) []obs.Event {
+		evs[14].Time = 205 // the async fault end lands before the idle span opened
+		return evs
+	})
+}
+
+func TestAttributeCatchesIdleEndWithoutBegin(t *testing.T) {
+	mutateTrace(t, "line 16: core 0: scheduler-idle end without begin", func(evs []obs.Event) []obs.Event {
+		return append(evs[:13:13], evs[14:]...)
+	})
+}
+
+func TestAttributeCatchesDispatchedAtRunEnd(t *testing.T) {
+	mutateTrace(t, "line 19: core 0: run ended with pid 1 still on CPU", func(evs []obs.Event) []obs.Event {
+		return append(evs[:17:17], evs[18:]...) // pid 1 never finishes
+	})
+}
+
+func TestAttributeCatchesSyncFaultEndOffCPU(t *testing.T) {
+	mutateTrace(t, "line 8: core 0: synchronous fault end for pid 1 outside its dispatch", func(evs []obs.Event) []obs.Event {
+		evs[6].PID = 1 // pid 0 is on the CPU
+		return evs
+	})
+}
+
+// A violation on a core other than 0 names that core.
+func TestAttributeNamesTheViolatingCore(t *testing.T) {
+	mutateTrace(t, "line 3: core 2: Preempt of pid 5 with no process on CPU", func(evs []obs.Event) []obs.Event {
+		bad := obs.Event{Time: 0, Type: obs.EvPreempt, PID: 5, Core: 2}
+		return append([]obs.Event{evs[0], bad}, evs[1:]...)
+	})
+}
+
+// BuildTimeline frames runs and folds idle spans through the same auditor
+// as Attribute — the idle span [210, 300) lands in the 200 ns bucket — but
+// passes no verdict on the audit: a trace Attribute rejects for an idle end
+// without a begin still has a timeline, with no idle in it.
+func TestTimelineSharesTheFold(t *testing.T) {
+	timeline := func(evs []obs.Event) sim.Time {
+		r, err := NewReader(bytes.NewReader(encode(t, evs...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl, err := BuildTimeline(r, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tl.Runs) != 1 || len(tl.Runs[0].Buckets) != 5 {
+			t.Fatalf("timeline shape %+v, want one run of 5 buckets", tl.Runs)
+		}
+		var idle sim.Time
+		for _, b := range tl.Runs[0].Buckets {
+			idle += b.IdleTime
+		}
+		if idle != tl.Runs[0].Buckets[2].IdleTime {
+			t.Fatalf("idle outside the 200 ns bucket: %v of %v", idle-tl.Runs[0].Buckets[2].IdleTime, idle)
+		}
+		return idle
+	}
+	if idle := timeline(goodTrace()); idle != 90 {
+		t.Fatalf("idle %v, want 90", idle)
+	}
+
+	bad := append(goodTrace()[:13:13], goodTrace()[14:]...)
+	if _, err := attributeEvents(t, bad...); err == nil {
+		t.Fatal("attribute accepted an idle end without a begin")
+	}
+	if idle := timeline(bad); idle != 0 {
+		t.Fatalf("idle %v from an idle end without a begin, want 0", idle)
 	}
 }

@@ -3,6 +3,7 @@ package replay_test
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"itsim/internal/core"
@@ -17,7 +18,8 @@ import (
 // The acceptance criterion: for every policy and core count of the test
 // matrix, the replayed attribution totals must reconcile exactly — zero
 // tolerance, virtual-time arithmetic — with the per-core conservation
-// ledger (CPUTime + SchedulerIdle + ContextSwitchTime == LocalClock).
+// ledger (CPUTime + SchedulerIdle + ContextSwitchTime == LocalClock) and
+// with every process's CPU time.
 func TestAttributeReconcilesWithLedgerMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full policy×cores matrix is slow")
@@ -47,7 +49,7 @@ func TestAttributeReconcilesWithLedgerMatrix(t *testing.T) {
 					t.Fatalf("got %d runs, want 1", len(att.Runs))
 				}
 				sum := run.Summary()
-				if err := sum.CheckAttribution(att.Runs[0].CoreAttributions()); err != nil {
+				if err := att.Runs[0].Check(&sum); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -83,7 +85,7 @@ func TestAttributeReconcilesUnderFaultInjection(t *testing.T) {
 				t.Fatal(err)
 			}
 			sum := run.Summary()
-			if err := sum.CheckAttribution(att.Runs[0].CoreAttributions()); err != nil {
+			if err := att.Runs[0].Check(&sum); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -206,5 +208,99 @@ func TestDiffLocalizesPerturbation(t *testing.T) {
 	}
 	if len(d.Drift) != 1 || d.Drift[0].Type != evs[idx].Type.String() {
 		t.Fatalf("counter drift %+v not localized to the perturbed type %s", d.Drift, evs[idx].Type)
+	}
+}
+
+// A trace recorded with an event filter has a timeline though it cannot be
+// attributed: the timeline buckets the events the filter kept. The faulty
+// run is the one that idles (stalls leave every process blocked). A pid
+// filter drops the other processes' dispatches, which breaks conservation,
+// but keeps every machine-scope idle event, so the idle column matches the
+// unfiltered run's; a fault-only filter keeps the pid's synchronous waits
+// and no scheduling event at all.
+func TestTimelineOfFilteredTrace(t *testing.T) {
+	trace := func(filter string) []byte {
+		f, err := obs.ParseFilter(filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		trc := obs.NewTracer(obs.NewJSONL(&buf), f)
+		_, err = core.RunBatch(workload.Batches()[1], policy.ITS, core.Options{
+			Scale: 0.02, Tracer: trc,
+			Fault:      fault.Config{Seed: 42, TailProb: 0.2, TailMult: 16, StallProb: 0.01, DMAFailProb: 0.05},
+			SpinBudget: 4 * sim.Microsecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	timeline := func(data []byte) *replay.RunTimeline {
+		r, err := replay.NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl, err := replay.BuildTimeline(r, 100*sim.Microsecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tl.Runs[0]
+	}
+	full, pid0, faults := trace(""), trace("pid=0"), trace("MajorFaultBegin,MajorFaultEnd,pid=0")
+
+	r, err := replay.NewReader(bytes.NewReader(pid0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replay.Attribute(r); err == nil || !strings.Contains(err.Error(), "event filter") {
+		t.Fatalf("attribute of a pid-filtered trace: %v, want a conservation gap", err)
+	}
+
+	evs, err := replay.ReadAll(bytes.NewReader(full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantSync uint64
+	for _, ev := range evs {
+		if ev.Type == obs.EvMajorFaultEnd && ev.Cause == "sync" && ev.PID == 0 {
+			wantSync++
+		}
+	}
+	if wantSync == 0 {
+		t.Fatal("pid 0 took no synchronous faults; the fault-only timeline would be empty")
+	}
+
+	tlFull, tlPID, tlFaults := timeline(full), timeline(pid0), timeline(faults)
+	var idleFull, idlePID sim.Time
+	var syncPID, syncFaults uint64
+	for i, b := range tlPID.Buckets {
+		if i < len(tlFull.Buckets) && b.IdleTime != tlFull.Buckets[i].IdleTime {
+			t.Fatalf("bucket %d: pid-filtered idle %v, unfiltered %v", i, b.IdleTime, tlFull.Buckets[i].IdleTime)
+		}
+		idlePID += b.IdleTime
+		syncPID += b.SyncFaults
+	}
+	for _, b := range tlFull.Buckets {
+		idleFull += b.IdleTime
+	}
+	for i, b := range tlFaults.Buckets {
+		if b.IdleTime != 0 || b.Dispatches != 0 {
+			t.Fatalf("bucket %d of the fault-only timeline has idle %v and %d dispatches", i, b.IdleTime, b.Dispatches)
+		}
+		p := tlPID.Buckets[i]
+		if b.SyncFaults != p.SyncFaults || b.SyncWaitP50 != p.SyncWaitP50 || b.SyncWaitP99 != p.SyncWaitP99 || b.SyncWaitMax != p.SyncWaitMax {
+			t.Fatalf("bucket %d: fault-only sync waits %+v, pid-filtered %+v", i, b, p)
+		}
+		syncFaults += b.SyncFaults
+	}
+	if idleFull == 0 || idlePID != idleFull {
+		t.Fatalf("pid-filtered idle %v, unfiltered %v", idlePID, idleFull)
+	}
+	if syncPID != wantSync || syncFaults != wantSync {
+		t.Fatalf("sync faults: pid-filtered %d, fault-only %d, want %d", syncPID, syncFaults, wantSync)
 	}
 }

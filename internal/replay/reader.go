@@ -8,8 +8,8 @@
 //     virtual-time buckets — where each core's time went (execute, sync
 //     fault wait, prefetch walk, pre-execute window, recovery, context
 //     switch, scheduler idle) — rendered as flame-style folded stacks or a
-//     JSON table, and cross-checkable against the metrics conservation
-//     ledger with zero tolerance (metrics.Summary.CheckAttribution).
+//     JSON table, and cross-checkable against the run's summary with zero
+//     tolerance, per core and per pid (RunAttribution.Check).
 //   - Diff aligns two traces event-by-event on virtual time and reports the
 //     first divergent event, per-counter drift, and per-window deltas
 //     around fault injections — turning "same seed ⇒ byte-identical" from a
@@ -18,6 +18,8 @@
 //     percentiles, showing when the waiting happened rather than only how
 //     much.
 //
+// Attribute and Timeline frame runs and fold each core's events through an
+// obs.Auditor, the state machine that audits every core of a live run.
 // Everything is streaming and deterministic: memory is bounded by the
 // folded state (not the trace length), and identical traces produce
 // byte-identical output.

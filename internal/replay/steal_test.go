@@ -143,7 +143,7 @@ func TestStealIdleAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sum.CheckAttribution(att.Runs[0].CoreAttributions()); err != nil {
+	if err := att.Runs[0].Check(&sum); err != nil {
 		t.Fatal(err)
 	}
 

@@ -46,74 +46,57 @@ type Bucket struct {
 const maxBuckets = 1 << 20
 
 // BuildTimeline buckets a whole trace by virtual time. Only run-framed
-// events count (a RunBegin/RunEnd pair scopes each run).
+// events count, and each core's idle spans are its auditor's, as in
+// Attribute. The timeline passes no verdict on the audit: a trace recorded
+// with an event filter buckets the events it kept.
 func BuildTimeline(r *Reader, width sim.Time) (*Timeline, error) {
 	if width <= 0 {
 		width = sim.Millisecond
 	}
-	tl := &Timeline{}
-	var run *RunTimeline
-	idleStart := make(map[int]sim.Time) // core → open idle-span start
-	for {
-		ev, ok, err := r.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if ev.Type == obs.EvRunBegin {
-			if run != nil {
-				return nil, fmt.Errorf("replay: line %d: RunBegin inside an open run", r.Line())
-			}
-			run = &RunTimeline{Label: ev.Cause, Width: width}
-			idleStart = make(map[int]sim.Time)
-			continue
-		}
-		if run == nil {
-			if fleetScope(ev.Type) {
-				continue // cluster-coordinator events live between runs
-			}
-			return nil, fmt.Errorf("replay: line %d: %s event outside any run", r.Line(), ev.Type)
-		}
-		if ev.Type == obs.EvRunEnd {
-			tl.Runs = append(tl.Runs, run)
-			run = nil
-			continue
-		}
-		b, err := run.bucket(ev.Time)
-		if err != nil {
-			return nil, fmt.Errorf("replay: line %d: %w", r.Line(), err)
-		}
-		b.Events++
-		switch ev.Type {
-		case obs.EvDispatch:
-			b.Dispatches++
-		case obs.EvMajorFaultEnd:
-			if ev.Cause == "sync" {
-				b.SyncFaults++
-				b.syncDurs = append(b.syncDurs, ev.Dur)
-			}
-		case obs.EvSchedIdleBegin:
-			idleStart[ev.Core] = ev.Time
-		case obs.EvSchedIdleEnd:
-			if err := run.spreadIdle(idleStart[ev.Core], ev.Time); err != nil {
-				return nil, fmt.Errorf("replay: line %d: %w", r.Line(), err)
-			}
-		default:
-			// Every other event only counts toward the bucket total.
-		}
+	s := &timelineSink{width: width}
+	if err := frameRuns(r, s); err != nil {
+		return nil, err
 	}
-	if run != nil {
-		return nil, fmt.Errorf("replay: trace ended inside run %q (no EvRunEnd)", run.Label)
+	return &s.tl, nil
+}
+
+// timelineSink is BuildTimeline's runSink.
+type timelineSink struct {
+	width sim.Time
+	tl    Timeline
+	run   *RunTimeline
+}
+
+func (s *timelineSink) begin(ev obs.Event) {
+	s.run = &RunTimeline{Label: ev.Cause, Width: s.width}
+}
+
+func (s *timelineSink) event(ev obs.Event, _ *runCore, span sim.Time) error {
+	b, err := s.run.bucket(ev.Time)
+	if err != nil {
+		return err
 	}
-	if len(tl.Runs) == 0 {
-		return nil, fmt.Errorf("replay: trace contains no runs")
+	b.Events++
+	switch ev.Type {
+	case obs.EvDispatch:
+		b.Dispatches++
+	case obs.EvMajorFaultEnd:
+		if ev.Cause == "sync" {
+			b.SyncFaults++
+			b.syncDurs = append(b.syncDurs, ev.Dur)
+		}
+	case obs.EvSchedIdleEnd:
+		return s.run.spreadIdle(ev.Time-span, ev.Time)
+	default:
+		// Every other event only counts toward the bucket total.
 	}
-	for _, rt := range tl.Runs {
-		rt.finalize()
-	}
-	return tl, nil
+	return nil
+}
+
+func (s *timelineSink) end(obs.Event, []*runCore) error {
+	s.run.finalize()
+	s.tl.Runs = append(s.tl.Runs, s.run)
+	return nil
 }
 
 // bucket returns (growing the series on demand) the bucket covering time t.

@@ -213,30 +213,29 @@ func (m *Machine) Run() (*metrics.Run, error) {
 		}
 	}
 
-	// The run-level time ledger, each entry set once from the value it
-	// always equals: the per-core idle, one switch cost per counted
-	// context switch, and the kernel's handler time.
-	var makespan, idle sim.Time
+	// The run-level time ledger, each entry set from the value it always
+	// equals: the latest core clock, one switch cost per counted context
+	// switch, the kernel's handler time, and (below) the sum of the
+	// per-core idle.
 	for _, c := range s.Cores {
-		c.Met.LocalClock = c.Eng.Now()
-		if c.Eng.Now() > makespan {
-			makespan = c.Eng.Now()
+		if c.Eng.Now() > s.Run.Makespan {
+			s.Run.Makespan = c.Eng.Now()
 		}
-		idle += c.Met.SchedulerIdle
 	}
-	s.Run.Makespan = makespan
-	s.Run.SchedulerIdle = idle
 	s.Run.ContextSwitchTime = kernel.ContextSwitchCost * sim.Time(s.Run.TotalContextSwitches())
 	s.Run.FaultHandlerTime = s.Krn.Stats().HandlerTime
-	s.Trc.Emit(obs.Event{Time: makespan, Type: obs.EvRunEnd, PID: -1})
+	s.Trc.Emit(obs.Event{Time: s.Run.Makespan, Type: obs.EvRunEnd, PID: -1})
 	for _, c := range s.Cores {
-		c.Aud.Write(obs.Event{Time: c.Eng.Now(), Type: obs.EvRunEnd, PID: -1, Core: c.ID})
+		// Each core's CPU, switch and idle times are its auditor's fold,
+		// closed at the core's own clock. The clock is read before the
+		// drain, which may advance it through trailing gauge ticks.
+		c.Met.LocalClock = c.Eng.Now()
+		c.Aud.Write(obs.Event{Time: c.Met.LocalClock, Type: obs.EvRunEnd, PID: -1, Core: c.ID})
+		c.Met.CPUTime, c.Met.ContextSwitchTime, c.Met.SchedulerIdle = c.Aud.Folded()
+		s.Run.SchedulerIdle += c.Met.SchedulerIdle
 		c.Eng.RunUntilIdle() // drain trailing completions and trace events
 		if err := c.Aud.Err(); err != nil {
 			return s.Run, fmt.Errorf("smp: core %d accounting audit failed: %w", c.ID, err)
-		}
-		if err := c.CheckFolded(); err != nil {
-			return s.Run, fmt.Errorf("smp: core %d attribution cross-check failed: %w", c.ID, err)
 		}
 	}
 	s.CollectInjection()
@@ -274,7 +273,6 @@ func (m *Machine) step(c *exec.Core, horizon sim.Time) error {
 			if !c.Eng.StepOne() {
 				return fmt.Errorf("smp: core %d has no runnable process and no pending event at %v", c.ID, t0)
 			}
-			c.Met.SchedulerIdle += c.Eng.Now() - t0
 			if s.Want[obs.EvSchedIdleEnd] {
 				c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvSchedIdleEnd, PID: -1})
 			}
@@ -298,7 +296,6 @@ func (m *Machine) steal(c *exec.Core, p *exec.Proc, at sim.Time) {
 			c.Emit(obs.Event{Time: t0, Type: obs.EvSchedIdleBegin, PID: -1})
 		}
 		c.Eng.AdvanceTo(at) // fires nothing: local events are later by construction
-		c.Met.SchedulerIdle += at - t0
 		if s.Want[obs.EvSchedIdleEnd] {
 			c.Emit(obs.Event{Time: at, Type: obs.EvSchedIdleEnd, PID: -1})
 		}
@@ -329,7 +326,6 @@ func (m *Machine) steal(c *exec.Core, p *exec.Proc, at sim.Time) {
 	// Migration is pure state movement: one context-switch cost, charged
 	// to the thief core and counted against the migrated process. Cache
 	// and TLB pollution is emergent — the process starts cold here.
-	c.Met.ContextSwitchTime += kernel.ContextSwitchCost
 	p.Met.ContextSwitches++
 	c.Eng.AdvanceTo(c.Eng.Now() + kernel.ContextSwitchCost)
 	if s.Want[obs.EvContextSwitch] {

@@ -302,11 +302,6 @@ func (d *Device) SubmitPage(now sim.Time, op Op, slot uint64) sim.Time {
 	return d.Submit(now, op, slot, 4096)
 }
 
-// SubmitPageRetry is SubmitRetry for one 4 KiB page.
-func (d *Device) SubmitPageRetry(now sim.Time, op Op, slot uint64, attempt int) Outcome {
-	return d.SubmitRetry(now, op, slot, 4096, attempt)
-}
-
 // Requests returns the total number of submitted requests.
 func (d *Device) Requests() uint64 { return d.completed }
 

@@ -244,7 +244,7 @@ func TestDMAFailureProtocol(t *testing.T) {
 	d := injected(t, fault.Config{Seed: 1, DMAFailProb: 1, RetryMax: 3})
 
 	// Attempts below RetryMax fail; the time is spent either way.
-	out := d.SubmitPageRetry(0, Read, 0, 0)
+	out := d.SubmitRetry(0, Read, 0, 4096, 0)
 	if !out.Failed {
 		t.Fatal("p=1 DMA failure did not fire")
 	}
@@ -252,7 +252,7 @@ func TestDMAFailureProtocol(t *testing.T) {
 		t.Fatal("failed transfer reported no elapsed time")
 	}
 	// At attempt == RetryMax the injector guarantees success.
-	out = d.SubmitPageRetry(out.Done, Read, 0, 3)
+	out = d.SubmitRetry(out.Done, Read, 0, 4096, 3)
 	if out.Failed {
 		t.Fatal("transfer failed at attempt == RetryMax")
 	}
