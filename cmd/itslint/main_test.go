@@ -30,29 +30,29 @@ func buildItslint(t *testing.T) string {
 func TestRunMode(t *testing.T) {
 	bin := buildItslint(t)
 
-	// internal/sched carries exactly two justified //itslint:allow
-	// directives (see docs/LINTS.md); the package must come up clean with
-	// those suppressions counted.
-	cmd := exec.Command(bin, "run", "./internal/sched")
+	// internal/replay carries exactly one justified //itslint:allow
+	// directive (see docs/LINTS.md); the package must come up clean with
+	// that suppression counted.
+	cmd := exec.Command(bin, "run", "./internal/replay")
 	cmd.Dir = repoRoot(t)
 	var stderr bytes.Buffer
 	cmd.Stdout = &stderr
 	cmd.Stderr = &stderr
 	if err := cmd.Run(); err != nil {
-		t.Fatalf("itslint run ./internal/sched: %v\n%s", err, stderr.String())
+		t.Fatalf("itslint run ./internal/replay: %v\n%s", err, stderr.String())
 	}
 	out := stderr.String()
 	if !strings.Contains(out, "suppressed by //itslint:allow") {
 		t.Errorf("summary line missing from output:\n%s", out)
 	}
-	if !strings.Contains(out, "entropyflow=2") {
-		t.Errorf("expected entropyflow=2 suppressions in summary, got:\n%s", out)
+	if !strings.Contains(out, "entropyflow=1") {
+		t.Errorf("expected entropyflow=1 suppressions in summary, got:\n%s", out)
 	}
 
-	// internal/smp imports sched, whose suppressions belong to sched alone.
-	code, _, errOut := runIn(t, repoRoot(t), bin, "run", "./internal/smp")
+	// cmd/itssim imports replay, whose suppression belongs to replay alone.
+	code, _, errOut := runIn(t, repoRoot(t), bin, "run", "./cmd/itssim")
 	if want := "itslint: clean, no //itslint:allow suppressions\n"; code != 0 || errOut != want {
-		t.Errorf("itslint run ./internal/smp: exit %d, stderr %q, want exit 0 and %q", code, errOut, want)
+		t.Errorf("itslint run ./cmd/itssim: exit %d, stderr %q, want exit 0 and %q", code, errOut, want)
 	}
 
 	// The deterministic set does not depend on the patterns: cpu is in it
@@ -417,7 +417,7 @@ func TestFactsAndFreeze(t *testing.T) {
 	}
 
 	code, _, stderr = runIn(t, repoRoot(t), bin, "run", "./...")
-	if want := "itslint: 3 findings suppressed by //itslint:allow (entropyflow=3)\n"; code != 0 || stderr != want {
+	if want := "itslint: 1 finding suppressed by //itslint:allow (entropyflow=1)\n"; code != 0 || stderr != want {
 		t.Errorf("itslint run ./... on the repository: exit %d, stderr %q, want exit 0 and %q", code, stderr, want)
 	}
 }

@@ -224,7 +224,6 @@ type request struct {
 	tenant     int // tenant index
 	seq        int // per-tenant sequence number
 	arrival    sim.Time
-	machine    int
 	completion sim.Time
 	syncWait   sim.Time
 	done       bool
@@ -232,8 +231,6 @@ type request struct {
 	// Resilience lifecycle (all inert without deadlines/hedging/chaos:
 	// one attempt, resolved at its completion).
 	resolved   bool
-	shed       bool
-	failed     bool
 	hedged     bool
 	dispatches int // primary + retries (hedges excluded): the backoff exponent
 	live       int // non-cancelled, unfinished attempts in flight
@@ -516,7 +513,6 @@ func (f *fleet) finishEpoch(m *machineState) {
 		r.completion = m.epochStart + scaleTime(p.FinishTime, m.epochMult)
 		r.syncWait = p.StorageWait
 		r.done = p.Finished
-		r.machine = m.id
 		if a.hedge {
 			f.tenants[r.tenant].HedgeWins++
 		}

@@ -195,7 +195,6 @@ func (f *fleet) place(a *attempt, now sim.Time) {
 		}
 	}
 	a.machine = pick
-	a.req.machine = pick
 	f.machines[pick].queue = append(f.machines[pick].queue, a)
 	if f.want(obs.EvRequestRoute) {
 		f.emit(obs.Event{Time: now, Type: obs.EvRequestRoute, PID: -1,
@@ -455,7 +454,6 @@ func (f *fleet) fireTimeout(t *timer, now sim.Time) {
 		f.timers.ScheduleHandler(now+delay, &timer{f: f, kind: timerRetry, r: r, d: delay})
 		return
 	}
-	r.failed = true
 	f.tenants[r.tenant].Failed++
 	f.resolve(r, nil)
 }
@@ -505,7 +503,6 @@ func (f *fleet) admit(r *request) bool {
 	if f.cfg.Tenants[r.tenant].Priority >= f.maxPrio {
 		return true
 	}
-	r.shed = true
 	f.tenants[r.tenant].Shed++
 	f.resolved++
 	r.resolved = true

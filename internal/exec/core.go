@@ -73,8 +73,10 @@ type Core struct {
 }
 
 // Emit stamps the event with the core id and routes it to the core's
-// auditor and the shared tracer. Emission sites guard with S.Want first so
-// disabled types cost no event construction.
+// auditor and the shared tracer. The auditor consumes every ledger event
+// (dispatch, preempt, block, finish, context switch, idle begin and end),
+// so those are emitted unguarded; other emission sites guard with S.Want
+// first so disabled types cost no event construction.
 func (c *Core) Emit(ev obs.Event) {
 	ev.Core = c.ID
 	if c.Aud.Wants(ev.Type) {
@@ -107,10 +109,8 @@ func (c *Core) Dispatch(pid int) {
 	p.sliceLeft = c.Sch.SliceFor(pid)
 	c.DispatchedAt = c.Eng.Now()
 	c.Met.Dispatches++
-	if s.Want[obs.EvDispatch] {
-		c.Emit(obs.Event{Time: c.DispatchedAt, Type: obs.EvDispatch, PID: pid,
-			Cause: p.Spec.Name, Value: int64(p.Spec.Priority)})
-	}
+	c.Emit(obs.Event{Time: c.DispatchedAt, Type: obs.EvDispatch, PID: pid,
+		Cause: p.Spec.Name, Value: int64(p.Spec.Priority)})
 	c.Cur = p
 }
 
@@ -126,10 +126,8 @@ func (c *Core) RunUntil(horizon sim.Time) {
 			p.Met.FinishTime = c.Eng.Now()
 			p.Met.Finished = true
 			c.Sch.Finish(p.PID)
-			if s.Want[obs.EvProcFinish] {
-				c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvProcFinish, PID: p.PID,
-					Dur: c.Eng.Now() - c.DispatchedAt})
-			}
+			c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvProcFinish, PID: p.PID,
+				Dur: c.Eng.Now() - c.DispatchedAt})
 			c.Cur = nil
 			if c.Sch.Alive() > 0 {
 				c.chargeSwitch(p)
@@ -168,10 +166,8 @@ func (c *Core) RunUntil(horizon sim.Time) {
 			}
 			if c.Sch.Runnable() > 0 {
 				c.Sch.Expire(p.PID)
-				if s.Want[obs.EvPreempt] {
-					c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvPreempt, PID: p.PID,
-						Dur: c.Eng.Now() - c.DispatchedAt})
-				}
+				c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvPreempt, PID: p.PID,
+					Dur: c.Eng.Now() - c.DispatchedAt})
 				c.Cur = nil
 				c.chargeSwitch(p)
 				return
@@ -209,11 +205,9 @@ func (c *Core) chargeSwitch(p *Proc) {
 		// §2.1.1) surfaces as memory stall.
 		p.Met.MemStall += kernel.SwitchPollutionCost
 	}
-	if c.S.Want[obs.EvContextSwitch] {
-		// Dur is the full clock advance (switch plus pollution tail) so
-		// the auditor's time-conservation ledger balances.
-		c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvContextSwitch, PID: p.PID, Dur: cost})
-	}
+	// Dur is the full clock advance (switch plus pollution tail) so the
+	// auditor's time-conservation ledger balances.
+	c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvContextSwitch, PID: p.PID, Dur: cost})
 }
 
 // peek returns the i-th unexecuted record (0 = next), filling the
@@ -344,9 +338,8 @@ func (c *Core) cacheAccess(p *Proc, addr uint64) {
 func (c *Core) ensureSwapIn(p *Proc, va uint64, kind swapKind) sim.Time {
 	s := c.S
 	page := va &^ uint64(pagetable.PageSize-1)
-	key := InflightKey{PID: p.PID, Page: page}
-	if done, ok := s.Inflight[key]; ok {
-		return done
+	if pio := p.pendingFor(page); pio != nil {
+		return pio.Done
 	}
 	// A page picked as a prefetch candidate can become resident before the
 	// candidates are issued (an earlier swap-in completing during the
@@ -355,9 +348,8 @@ func (c *Core) ensureSwapIn(p *Proc, va uint64, kind swapKind) sim.Time {
 		return c.Eng.Now()
 	}
 	out := s.Krn.StartSwapIn(c.Eng.Now(), p.PID, page, kind != swapDemand)
-	s.Inflight[key] = out.Done
 	pio := s.getPendingIO()
-	pio.Key, pio.Frame, pio.Done = key, out.Frame, out.Done
+	pio.Page, pio.Frame, pio.Done = page, out.Frame, out.Done
 	c.SchedulePendingIO(p, pio)
 	if kind == swapPrefetch {
 		p.Met.PrefetchIssued++
@@ -370,9 +362,10 @@ func (c *Core) ensureSwapIn(p *Proc, va uint64, kind swapKind) sim.Time {
 }
 
 // SchedulePendingIO schedules pio's completion (page-table update, unpin,
-// inflight cleanup) on this core's engine and tracks it on p so a steal can
-// re-home it. The completion is the PendingIO itself (sim.Handler), so
-// scheduling allocates neither a closure nor an event struct.
+// pending-list cleanup) on this core's engine and lists it on p, where
+// later faults and prefetches of the page find it and a steal can re-home
+// it. The completion is the PendingIO itself (sim.Handler), so scheduling
+// allocates neither a closure nor an event struct.
 func (c *Core) SchedulePendingIO(p *Proc, pio *PendingIO) {
 	pio.p, pio.s = p, c.S
 	pio.Ev = c.Eng.ScheduleHandler(pio.Done, pio)
@@ -408,10 +401,10 @@ func (c *Core) clusterSwapIn(p *Proc, va uint64) sim.Time {
 func (c *Core) tryPrefetch(p *Proc, va uint64) {
 	s := c.S
 	page := va &^ uint64(pagetable.PageSize-1)
-	if _, busy := s.Inflight[InflightKey{PID: p.PID, Page: page}]; busy {
+	if p.pendingFor(page) != nil {
 		return
 	}
-	pte, ok := s.Krn.Process(p.PID).AS.Lookup(page)
+	pte, ok := p.KP.AS.Lookup(page)
 	if !ok || !pte.Swapped() {
 		return
 	}
@@ -565,10 +558,8 @@ func (c *Core) block(p *Proc, va uint64, faultStart, done sim.Time, mode string)
 	c.Sch.Block(p.PID)
 	p.blockedAt = c.Eng.Now()
 	p.wasBlocked = true
-	if c.S.Want[obs.EvBlock] {
-		c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvBlock, PID: p.PID,
-			VA: va, Dur: c.Eng.Now() - c.DispatchedAt})
-	}
+	c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvBlock, PID: p.PID,
+		VA: va, Dur: c.Eng.Now() - c.DispatchedAt})
 	c.scheduleFaultEnd(p, va, faultStart, done, mode)
 	// Wake up when the page lands (after the completion event at the same
 	// timestamp, thanks to FIFO event ordering).

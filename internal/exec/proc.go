@@ -21,7 +21,7 @@ type Proc struct {
 	// Met is the per-process metrics record.
 	Met *metrics.Process
 	// KP is the kernel-side process, resolved once at construction so the
-	// per-record translate path skips the kernel's pid map lookup.
+	// per-record path skips the kernel's pid lookup.
 	KP *kernel.Process
 
 	// Owner is the core whose runqueue currently holds the process.
@@ -29,11 +29,14 @@ type Proc struct {
 	// ReadyAt is when the process last became Ready (owner-core clock);
 	// a thief's clock jumps to at least this time before stealing.
 	ReadyAt sim.Time
-	// Pending tracks this process's in-flight swap-in completions, which
-	// live on the owner core's engine and migrate with the process.
-	// Entries are always unfired: a completion drops itself from the list
-	// in the same event that fires it, which is what makes cancel-then-
-	// recycle of the underlying sim.Event safe.
+	// Pending is the machine's only record of this process's in-flight
+	// swap-ins: a fault or prefetch of a page listed here joins that DMA
+	// instead of starting another. The completions live on the owner
+	// core's engine and migrate with the process. Entries are always
+	// unfired: a completion drops itself from the list in the same event
+	// that fires it, which is what makes cancel-then-recycle of the
+	// underlying sim.Event safe. Ultra-low-latency reads keep the list a
+	// few entries long, so pendingFor scans it.
 	Pending []*PendingIO
 
 	// look is the lookahead ring of fetched-but-unexecuted records,
@@ -85,6 +88,16 @@ func (p *Proc) scheduleWake(c *Core, done sim.Time) {
 	c.Eng.ScheduleHandler(done, &p.wake)
 }
 
+// pendingFor returns the in-flight swap-in of page, or nil.
+func (p *Proc) pendingFor(page uint64) *PendingIO {
+	for _, pio := range p.Pending {
+		if pio.Page == page {
+			return pio
+		}
+	}
+	return nil
+}
+
 // dropPending removes pio from the process's in-flight completion list.
 func (p *Proc) dropPending(pio *PendingIO) {
 	for i, q := range p.Pending {
@@ -95,18 +108,13 @@ func (p *Proc) dropPending(pio *PendingIO) {
 	}
 }
 
-// InflightKey identifies one in-flight swap-in: the page of one process.
-type InflightKey struct {
-	PID  int
-	Page uint64
-}
-
-// PendingIO is one scheduled swap-in completion. Its completion event calls
-// Fire directly (no closure), and fired or superseded structs return to a
-// free list on Shared. The SMP steal path cancels Ev on the victim core's
-// engine and reschedules the completion on the thief's.
+// PendingIO is one in-flight swap-in of one page of its process. Its
+// completion event calls Fire directly (no closure), and fired structs
+// return to a free list on Shared. The SMP steal path cancels Ev on the
+// victim core's engine and either fires the completion at once (already
+// due on the thief's clock) or reschedules it on the thief's.
 type PendingIO struct {
-	Key   InflightKey
+	Page  uint64
 	Frame mem.FrameID
 	Done  sim.Time
 	Ev    *sim.Event
@@ -119,13 +127,13 @@ type PendingIO struct {
 }
 
 // Fire implements sim.Handler: the swap-in lands — update the page table,
-// drop the inflight entry and recycle the struct.
+// drop the entry from the process's pending list and recycle the struct.
+// It is the only code that lands a swap-in.
 func (pio *PendingIO) Fire(sim.Time) {
 	s, p := pio.s, pio.p
-	s.Krn.CompleteSwapIn(p.PID, pio.Key.Page, pio.Frame)
-	delete(s.Inflight, pio.Key)
+	s.Krn.CompleteSwapIn(p.PID, pio.Page, pio.Frame)
 	p.dropPending(pio)
-	s.ReleasePendingIO(pio)
+	s.releasePendingIO(pio)
 }
 
 // swapKind distinguishes why a page is being swapped in.

@@ -33,11 +33,9 @@ type Shared struct {
 	LLC *cache.Cache
 	// Run collects the run-level metrics.
 	Run *metrics.Run
-	// Procs is the process table, indexed by pid.
+	// Procs is the process table, indexed by pid. Each process's Pending
+	// list records its in-flight swap-ins.
 	Procs []*Proc
-	// Inflight maps in-flight swap-ins to their completion times so
-	// concurrent faults and prefetches join rather than duplicate DMAs.
-	Inflight map[InflightKey]sim.Time
 	// Cores are the simulated CPUs sharing this state.
 	Cores []*Core
 
@@ -67,10 +65,10 @@ func (s *Shared) getPendingIO() *PendingIO {
 	return pio
 }
 
-// ReleasePendingIO returns a completion struct to the free list. Callers
+// releasePendingIO returns a completion struct to the free list. Callers
 // must not retain pio afterwards; its event handle is owned by the engine
 // (fired) or already cancelled (steal path).
-func (s *Shared) ReleasePendingIO(pio *PendingIO) {
+func (s *Shared) releasePendingIO(pio *PendingIO) {
 	pio.next = s.pioFree
 	s.pioFree = pio
 }
@@ -142,11 +140,10 @@ func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string,
 		dev.SetInjector(fault.New(cfg.Fault))
 	}
 	s := &Shared{
-		Cfg:      cfg,
-		Krn:      kernel.New(mem.NewDRAM(frames, mem.ReplaceClock), dev),
-		LLC:      reuseCache(oldLLC, cache.Config{SizeBytes: llcSize, LineBytes: cfg.LineBytes, Ways: llcWays}),
-		Run:      metrics.NewRun(pols[0].Name(), batchName),
-		Inflight: make(map[InflightKey]sim.Time),
+		Cfg: cfg,
+		Krn: kernel.New(mem.NewDRAM(frames, mem.ReplaceClock), dev),
+		LLC: reuseCache(oldLLC, cache.Config{SizeBytes: llcSize, LineBytes: cfg.LineBytes, Ways: llcWays}),
+		Run: metrics.NewRun(pols[0].Name(), batchName),
 	}
 
 	// Pin every core's slice mapping to the batch-global priority range
@@ -208,9 +205,8 @@ func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string,
 		p.Met.Tenant = sp.Tenant
 		p.look = make([]trace.Record, Lookahead)
 		s.Procs = append(s.Procs, p)
-		s.Krn.AddProcess(pid, sp.Name, sp.Priority)
+		p.KP = s.Krn.AddProcess(pid, sp.Name, sp.Priority)
 		s.Krn.MapRegion(pid, sp.BaseVA, sp.Gen.FootprintBytes())
-		p.KP = s.Krn.Process(pid)
 		s.Cores[p.Owner].Sch.Add(pid, sp.Priority)
 	}
 	s.warmStart(cfg.WarmFraction, frames)
@@ -265,7 +261,7 @@ func (s *Shared) warmStart(fraction float64, frames int) {
 		if !ok {
 			continue
 		}
-		as := s.Krn.Process(p.PID).AS
+		as := p.KP.AS
 		for _, va := range ws.WarmPages(budget) {
 			if pte, found := as.Lookup(va); found && pte.Present() {
 				continue
@@ -373,7 +369,11 @@ func (s *Shared) emitGauges(now sim.Time) {
 		ready += c.Sch.Runnable()
 	}
 	g("ready_queue_depth", int64(ready))
-	g("outstanding_swapins", int64(len(s.Inflight)))
+	swapins := 0
+	for _, p := range s.Procs {
+		swapins += len(p.Pending)
+	}
+	g("outstanding_swapins", int64(swapins))
 	g("llc_lines", int64(s.LLC.ValidLines()))
 	if c0.PX != nil {
 		px := 0

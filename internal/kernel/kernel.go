@@ -67,7 +67,8 @@ type Stats struct {
 
 // Kernel ties address spaces, physical memory and the swap device together.
 type Kernel struct {
-	procs map[int]*Process
+	// procs is indexed by pid; unregistered pids are nil.
+	procs []*Process
 	dram  *mem.DRAM
 	dev   *storage.Device
 	slots storage.SlotAllocator
@@ -89,11 +90,7 @@ func (k *Kernel) SetCore(core int) { k.core = core }
 
 // New builds a kernel over the given memory and device.
 func New(dram *mem.DRAM, dev *storage.Device) *Kernel {
-	return &Kernel{
-		procs: make(map[int]*Process),
-		dram:  dram,
-		dev:   dev,
-	}
+	return &Kernel{dram: dram, dev: dev}
 }
 
 // DRAM returns the physical memory pool.
@@ -105,9 +102,14 @@ func (k *Kernel) Device() *storage.Device { return k.dev }
 // Stats returns a copy of the counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 
-// AddProcess registers a process and creates its address space.
+// AddProcess registers a process and creates its address space. The
+// process table is indexed by pid, so pids are small non-negative integers
+// (dense within a batch).
 func (k *Kernel) AddProcess(pid int, name string, priority int) *Process {
-	if _, dup := k.procs[pid]; dup {
+	for len(k.procs) <= pid {
+		k.procs = append(k.procs, nil)
+	}
+	if k.procs[pid] != nil {
 		panic(fmt.Sprintf("kernel: duplicate pid %d", pid))
 	}
 	p := &Process{PID: pid, Name: name, Priority: priority, AS: pagetable.New()}
@@ -117,11 +119,10 @@ func (k *Kernel) AddProcess(pid int, name string, priority int) *Process {
 
 // Process returns the registered process.
 func (k *Kernel) Process(pid int) *Process {
-	p, ok := k.procs[pid]
-	if !ok {
+	if pid < 0 || pid >= len(k.procs) || k.procs[pid] == nil {
 		panic(fmt.Sprintf("kernel: unknown pid %d", pid))
 	}
-	return p
+	return k.procs[pid]
 }
 
 // MapRegion maps [base, base+bytes) into pid's address space as swapped-out
@@ -164,7 +165,7 @@ func (k *Kernel) Translate(pid int, va uint64, write bool) (t Translation, frame
 
 // TranslateIn is Translate on an already-resolved process: the executor
 // resolves each Proc's kernel process once at construction and calls this
-// per record, keeping the pid map lookup out of the hot loop.
+// per record, keeping the pid lookup out of the hot loop.
 func (k *Kernel) TranslateIn(p *Process, va uint64, write bool) (t Translation, frame mem.FrameID, prefetchHit bool) {
 	va &^= uint64(pagetable.PageSize - 1)
 	pte, ok := p.AS.Lookup(va)

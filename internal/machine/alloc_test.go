@@ -12,7 +12,7 @@ import (
 // TestHotLoopZeroAllocs pins the tracing-off hot loop at 0 allocs/record:
 // once the platform is built, running tens of thousands of records must
 // allocate only O(1) setup residue (event-pool warm-up, the first Pending
-// growths, Inflight map rehashes, event-heap growth) — nothing
+// growths, event-heap growth) — nothing
 // proportional to the record count. The budget below is a hundredth of an
 // allocation per record; a single stray per-record allocation trips it by
 // two orders of magnitude.

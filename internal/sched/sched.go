@@ -16,7 +16,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"itsim/internal/sim"
 )
@@ -75,8 +74,12 @@ type Stats struct {
 
 // RR is the round-robin scheduler.
 type RR struct {
-	entries map[int]*entry
-	// queue holds Ready pids in dispatch order.
+	// entries is indexed by pid; nil marks a pid that is not registered
+	// (never added, or removed by a steal). registered counts the rest.
+	entries    []*entry
+	registered int
+	// queue holds exactly the Ready pids, in dispatch order: a process
+	// enters it on becoming Ready and leaves it when dispatched or removed.
 	queue   []int
 	running int // pid currently on CPU, or -1
 	// priority range for slice mapping, fixed once processes are added.
@@ -95,12 +98,10 @@ type RR struct {
 	// round-robin queue with priority-scaled slices (the NICE mechanism).
 	strict bool
 	stats  Stats
-	// alive and ready are O(1) mirrors of the entry states: alive counts
-	// entries not Finished, ready counts entries in Ready. The SMP
-	// coordinator polls Alive/Runnable every step, so these must not scan
-	// (the map iteration they replace dominated 4-core profiles).
+	// alive is an O(1) mirror of the entry states: it counts entries not
+	// Finished (Runnable is the queue's length). The SMP coordinator polls
+	// Alive/Runnable every step, so neither may scan the entries.
 	alive int
-	ready int
 	// observer, when set, is called on every state transition.
 	observer func(pid int, from, to State)
 }
@@ -108,7 +109,6 @@ type RR struct {
 // New returns an empty scheduler.
 func New() *RR {
 	return &RR{
-		entries:  make(map[int]*entry),
 		running:  -1,
 		minSlice: MinSlice,
 		maxSlice: MaxSlice,
@@ -120,24 +120,16 @@ func New() *RR {
 // observer disables notification.
 func (s *RR) SetObserver(fn func(pid int, from, to State)) { s.observer = fn }
 
-// transition applies a state change, maintains the alive/ready counters and
-// notifies the observer.
+// transition applies a state change (callers check the from-state first),
+// maintains the alive counter and notifies the observer.
 func (s *RR) transition(e *entry, to State) {
 	from := e.state
 	e.state = to
-	if from != to {
-		if from == Ready {
-			s.ready--
-		}
-		if to == Ready {
-			s.ready++
-		}
-		if to == Finished {
-			s.alive--
-		}
-		if s.observer != nil {
-			s.observer(e.pid, from, to)
-		}
+	if to == Finished {
+		s.alive--
+	}
+	if s.observer != nil {
+		s.observer(e.pid, from, to)
 	}
 }
 
@@ -160,12 +152,16 @@ func (s *RR) SetSliceRange(min, max sim.Time) {
 }
 
 // Add registers a process with the given priority (larger = higher
-// priority) in the Ready state.
+// priority) in the Ready state. Pids index the entry table, so they are
+// small non-negative integers (dense within a batch).
 func (s *RR) Add(pid, priority int) {
-	if _, dup := s.entries[pid]; dup {
+	for len(s.entries) <= pid {
+		s.entries = append(s.entries, nil)
+	}
+	if s.entries[pid] != nil {
 		panic(fmt.Sprintf("sched: duplicate pid %d", pid))
 	}
-	if len(s.entries) == 0 {
+	if s.registered == 0 {
 		s.minPrio, s.maxPrio = priority, priority
 	} else {
 		if priority < s.minPrio {
@@ -176,9 +172,9 @@ func (s *RR) Add(pid, priority int) {
 		}
 	}
 	s.entries[pid] = &entry{pid: pid, priority: priority, state: Ready}
+	s.registered++
 	s.queue = append(s.queue, pid)
 	s.alive++
-	s.ready++
 	s.recomputeSlices()
 }
 
@@ -191,7 +187,10 @@ func (s *RR) recomputeSlices() {
 		lo, hi = s.pinLo, s.pinHi
 	}
 	span := hi - lo
-	for _, e := range s.entries { //itslint:allow independent per-entry update; no cross-entry or output-ordering effect
+	for _, e := range s.entries {
+		if e == nil {
+			continue
+		}
 		if span == 0 {
 			e.slice = s.maxSlice
 			continue
@@ -237,14 +236,13 @@ func (s *RR) Stats() Stats { return s.stats }
 func (s *RR) Running() int { return s.running }
 
 func (s *RR) mustGet(pid int) *entry {
-	e, ok := s.entries[pid]
-	if !ok {
+	if pid < 0 || pid >= len(s.entries) || s.entries[pid] == nil {
 		panic(fmt.Sprintf("sched: unknown pid %d", pid))
 	}
-	return e
+	return s.entries[pid]
 }
 
-// PickNext dispatches the head of the ready queue, marking it Running, and
+// PickNext dispatches the process NextToRun names, marking it Running, and
 // returns its pid; -1 when nothing is runnable. The caller is responsible
 // for charging context-switch time when the dispatched process differs from
 // the previously running one.
@@ -252,48 +250,32 @@ func (s *RR) PickNext() int {
 	if s.running != -1 {
 		panic(fmt.Sprintf("sched: PickNext while pid %d is running", s.running))
 	}
-	if s.strict {
-		if pid := s.pickStrict(); pid != -1 {
-			return pid
-		}
+	i := s.next()
+	if i == -1 {
 		return -1
 	}
-	for len(s.queue) > 0 {
-		pid := s.queue[0]
-		s.queue = s.queue[1:]
-		e := s.entries[pid]
-		if e.state != Ready {
-			continue // stale queue entry (blocked/finished after enqueue)
-		}
-		s.transition(e, Running)
-		s.running = pid
-		return pid
-	}
-	return -1
+	pid := s.queue[i]
+	s.queue = append(s.queue[:i], s.queue[i+1:]...)
+	s.transition(s.entries[pid], Running)
+	s.running = pid
+	return pid
 }
 
-// pickStrict dispatches the highest-priority Ready process, FIFO among
-// equals, and compacts stale queue entries as it scans.
-func (s *RR) pickStrict() int {
-	best := -1
-	bestIdx := -1
-	for i, pid := range s.queue {
-		e := s.entries[pid]
-		if e.state != Ready {
-			continue
-		}
-		if best == -1 || e.priority > s.entries[best].priority {
-			best, bestIdx = pid, i
-		}
-	}
-	if best == -1 {
-		s.queue = s.queue[:0]
+// next returns the queue index PickNext dispatches: the head, or under
+// strict priority the highest-priority process, FIFO among equals; -1 when
+// nothing is Ready.
+func (s *RR) next() int {
+	if len(s.queue) == 0 {
 		return -1
 	}
-	s.queue = append(s.queue[:bestIdx], s.queue[bestIdx+1:]...)
-	e := s.entries[best]
-	s.transition(e, Running)
-	s.running = best
+	best := 0
+	if s.strict {
+		for i, pid := range s.queue {
+			if s.entries[pid].priority > s.entries[s.queue[best]].priority {
+				best = i
+			}
+		}
+	}
 	return best
 }
 
@@ -301,34 +283,17 @@ func (s *RR) pickStrict() int {
 // dispatching; -1 when nothing is ready. This is the "next-to-be-run
 // process" the ITS priority-aware selection policy compares against (§3.2).
 func (s *RR) NextToRun() int {
-	if s.strict {
-		best := -1
-		for _, pid := range s.queue {
-			e := s.entries[pid]
-			if e.state != Ready {
-				continue
-			}
-			if best == -1 || e.priority > s.entries[best].priority {
-				best = pid
-			}
-		}
-		return best
-	}
-	for _, pid := range s.queue {
-		if s.entries[pid].state == Ready {
-			return pid
-		}
+	if i := s.next(); i != -1 {
+		return s.queue[i]
 	}
 	return -1
 }
 
 // Runnable returns the number of Ready processes (excluding the runner).
-// O(1): maintained by the state transitions, not a queue scan.
-func (s *RR) Runnable() int { return s.ready }
+func (s *RR) Runnable() int { return len(s.queue) }
 
 // Alive returns the number of unfinished processes. O(1): the SMP
-// coordinator calls this (via Shared.Alive) once per step, and the map
-// iteration it once performed dominated multi-core wall-clock profiles.
+// coordinator calls this (via Shared.Alive) once per step.
 func (s *RR) Alive() int { return s.alive }
 
 // Expire moves the running process to the queue tail (slice exhausted).
@@ -378,9 +343,9 @@ func (s *RR) Remove(pid int) {
 	if e.state != Ready {
 		panic(fmt.Sprintf("sched: Remove on %s pid %d", e.state, pid))
 	}
-	delete(s.entries, pid)
+	s.entries[pid] = nil
+	s.registered--
 	s.alive--
-	s.ready--
 	for i, q := range s.queue {
 		if q == pid {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
@@ -399,15 +364,13 @@ func (s *RR) Finish(pid int) {
 	s.running = -1
 }
 
-// Pids returns every registered pid in ascending order. The entries map's
-// iteration order must never escape the scheduler: a caller feeding these
-// pids into event emission or queue construction would inherit Go's
-// per-run map ordering and break bit-exact replay.
+// Pids returns every registered pid in ascending order.
 func (s *RR) Pids() []int {
-	out := make([]int, 0, len(s.entries))
-	for pid := range s.entries { //itslint:allow collected pids are sorted before returning
-		out = append(out, pid)
+	out := make([]int, 0, s.registered)
+	for pid, e := range s.entries {
+		if e != nil {
+			out = append(out, pid)
+		}
 	}
-	sort.Ints(out)
 	return out
 }

@@ -267,15 +267,11 @@ func (m *Machine) step(c *exec.Core, horizon sim.Time) error {
 				}
 			}
 			t0 := c.Eng.Now()
-			if s.Want[obs.EvSchedIdleBegin] {
-				c.Emit(obs.Event{Time: t0, Type: obs.EvSchedIdleBegin, PID: -1})
-			}
+			c.Emit(obs.Event{Time: t0, Type: obs.EvSchedIdleBegin, PID: -1})
 			if !c.Eng.StepOne() {
 				return fmt.Errorf("smp: core %d has no runnable process and no pending event at %v", c.ID, t0)
 			}
-			if s.Want[obs.EvSchedIdleEnd] {
-				c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvSchedIdleEnd, PID: -1})
-			}
+			c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvSchedIdleEnd, PID: -1})
 			return nil
 		}
 		c.Dispatch(pid)
@@ -289,35 +285,27 @@ func (m *Machine) step(c *exec.Core, horizon sim.Time) error {
 // itself costs one context switch of state movement, and p's in-flight
 // swap-in completions move onto this core's engine.
 func (m *Machine) steal(c *exec.Core, p *exec.Proc, at sim.Time) {
-	s := m.s
 	if at > c.Eng.Now() {
-		t0 := c.Eng.Now()
-		if s.Want[obs.EvSchedIdleBegin] {
-			c.Emit(obs.Event{Time: t0, Type: obs.EvSchedIdleBegin, PID: -1})
-		}
+		c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvSchedIdleBegin, PID: -1})
 		c.Eng.AdvanceTo(at) // fires nothing: local events are later by construction
-		if s.Want[obs.EvSchedIdleEnd] {
-			c.Emit(obs.Event{Time: at, Type: obs.EvSchedIdleEnd, PID: -1})
-		}
+		c.Emit(obs.Event{Time: at, Type: obs.EvSchedIdleEnd, PID: -1})
 	}
 
-	victim := s.Cores[p.Owner]
+	victim := m.s.Cores[p.Owner]
 	victim.Sch.Remove(p.PID)
 	victim.Met.MigratedAway++
 	p.Owner = c.ID
 	c.Sch.Add(p.PID, p.Spec.Priority)
 	c.Met.Steals++
 
-	// Re-home pending completions: past ones (on this clock) apply now,
+	// Re-home pending completions: past ones (on this clock) land now,
 	// future ones reschedule here.
 	moved := p.Pending
 	p.Pending = nil
 	for _, pio := range moved {
 		victim.Eng.Cancel(pio.Ev)
 		if pio.Done <= c.Eng.Now() {
-			s.Krn.CompleteSwapIn(p.PID, pio.Key.Page, pio.Frame)
-			delete(s.Inflight, pio.Key)
-			s.ReleasePendingIO(pio)
+			pio.Fire(c.Eng.Now())
 		} else {
 			c.SchedulePendingIO(p, pio)
 		}
@@ -328,8 +316,6 @@ func (m *Machine) steal(c *exec.Core, p *exec.Proc, at sim.Time) {
 	// and TLB pollution is emergent — the process starts cold here.
 	p.Met.ContextSwitches++
 	c.Eng.AdvanceTo(c.Eng.Now() + kernel.ContextSwitchCost)
-	if s.Want[obs.EvContextSwitch] {
-		c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvContextSwitch, PID: p.PID,
-			Dur: kernel.ContextSwitchCost, Cause: "migrate"})
-	}
+	c.Emit(obs.Event{Time: c.Eng.Now(), Type: obs.EvContextSwitch, PID: p.PID,
+		Dur: kernel.ContextSwitchCost, Cause: "migrate"})
 }

@@ -18,7 +18,6 @@ import (
 type QuantileTracker struct {
 	win        []sim.Time
 	next       int
-	filled     bool
 	scratch    []sim.Time
 	minSamples int
 }
@@ -51,7 +50,6 @@ func (q *QuantileTracker) Observe(lat sim.Time) {
 	}
 	q.win[q.next] = lat
 	q.next = (q.next + 1) % cap(q.win)
-	q.filled = true
 }
 
 // Samples returns how many observations the window currently holds.
